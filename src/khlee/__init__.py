@@ -10,7 +10,6 @@ from .errors import (
     BadComponent,
     InconsistentModule,
     KhleeError,
-    LayoutError,
     NonPlanar,
     NotACycle,
     NotNullHomologous,

@@ -1,6 +1,6 @@
 """Batch command-line front end.
 
-Subcommands: s, kh, lee, ssr-s, stab, verify, bench.  Inputs come from
+Subcommands: s, kh, lee, ssr-s, stab, verify.  Inputs come from
 --builtin names, PD codes, braid words, or SSr JSON files (a literal string
 is accepted wherever a path is; "-" reads stdin).  Output is JSON by
 default, deterministic up to the timestamp (suppress it with --no-meta).
@@ -211,28 +211,6 @@ def cmd_verify(args):
     return 0 if ok else 1
 
 
-def cmd_bench(args):
-    import time as _t
-
-    from .corpus import torus_word
-
-    rows = []
-    for p in range(2, args.max_p + 1):
-        d = from_braid(BraidWord(p, torus_word(p, p)))
-        t0 = _t.perf_counter()
-        cx = _complex_for(d, args.engine, args.limit)
-        t1 = _t.perf_counter()
-        rep = s_invariant(d, engine="scan" if args.engine in ("auto", "scan", "both") else "brute",
-                          limit=args.limit, with_module=False, _compute_plus=False)
-        t2 = _t.perf_counter()
-        rows.append({"link": f"T({p},{p})", "crossings": d.n_crossings,
-                     "reduce_seconds": round(t1 - t0, 3),
-                     "s_seconds": round(t2 - t1, 3), "s": rep.s,
-                     "generators": cx.n_gens})
-    _emit(args, {"bench": rows}, "bench")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="khlee",
@@ -288,11 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["all", "oracle", "s3-properties", "ssr-properties"])
     p.add_argument("--quick", action="store_true", help="smaller corpus")
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("bench", help="time build/reduce on T(p,p)")
-    add_common(p)
-    p.add_argument("--max-p", type=int, default=4)
-    p.set_defaults(func=cmd_bench)
     return ap
 
 

@@ -77,7 +77,7 @@ def build_cube(d: OrientedDiagram, limit=None, h_window=None) -> CubeComplex:
     circle_arcs = {}
     total = 0
     for ch in choices:
-        circles = d.resolve(ch, geometry=False).circles
+        circles = d.resolve(ch).circles
         circle_arcs[ch] = [c.arcs for c in circles]
         total += 1 << len(circles)
         if total > limit:

@@ -1,12 +1,11 @@
-"""Oriented planar link diagrams with exact rational layouts.
+"""Oriented link diagrams as planar maps.
 
-A diagram is a 4-valent planar graph (crossings + arcs) together with an
-honest planar realization: every arc is a polyline with rational
-coordinates, and every crossing stores four "ports" plus connector paths
-for its two smoothings.  Resolutions are therefore realized as pairwise
-disjoint closed polylines, from which nesting depths and winding
-orientations are read off exactly.  This geometric honesty is what makes
-the canonical Lee-cycle signs correct.
+A diagram is a 4-valent planar map: crossings list their four arc ends
+counterclockwise (the PD convention), arcs run from an outgoing to an
+incoming crossing end, and crossingless components are closed arcs.  No
+coordinates are stored.  The faces come from the rotation system at the
+crossings, and a checkerboard colouring of the faces gives the signs of the
+canonical Lee cycles (``seifert_signs``).
 
 Diagrams are immutable in practice: every operation returns a new diagram.
 """
@@ -14,11 +13,9 @@ Diagrams are immutable in practice: every operation returns a new diagram.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Optional
 
-from .errors import BadComponent, OrientationConflict, ParseError
-from .geometry import nesting_and_ccw, pt
+from .errors import BadComponent, NonPlanar, OrientationConflict, ParseError
 
 # ---------------------------------------------------------------------------
 # Braid words
@@ -110,7 +107,6 @@ class Arc:
     component: int
     tail: Optional[tuple]  # (crossing id, position) or None for a closed circle
     head: Optional[tuple]
-    path: list  # directed polyline; closed circles do not repeat the first point
     slots: frozenset = frozenset()  # boundary points covered (braid-built diagrams)
 
     @property
@@ -121,9 +117,6 @@ class Arc:
 @dataclass
 class Circle:
     arcs: frozenset  # member arc ids
-    depth: int = 0  # number of circles strictly enclosing this one
-    ccw: Optional[bool] = None  # set for oriented resolutions
-    path: Optional[list] = None
     slots: frozenset = frozenset()
 
 
@@ -137,16 +130,13 @@ _SMOOTHING_PAIRS = {0: ((0, 1), (2, 3)), 1: ((1, 2), (3, 0))}
 
 
 class OrientedDiagram:
-    """Immutable oriented link diagram with exact planar layout."""
+    """Immutable oriented link diagram, stored as a planar map."""
 
-    def __init__(self, crossings, arcs, n_components, ports, connectors,
-                 braid=None, col_component=None, slot_direction=None):
+    def __init__(self, crossings, arcs, n_components, braid=None,
+                 col_component=None, slot_direction=None):
         self.crossings = list(crossings)
         self.arcs = dict(arcs)
         self.n_components = n_components
-        self.ports = dict(ports)  # (crossing id, position) -> Point
-        # (crossing id, smoothing) -> ((posA, posB, path), (posC, posD, path))
-        self.connectors = dict(connectors)
         self.braid = braid
         self.col_component = col_component  # per closure column, braid-built only
         # (row, col) -> True when the strand flows upward there (braid-built)
@@ -196,97 +186,141 @@ class OrientedDiagram:
                 return a
         raise AssertionError
 
-    def resolve(self, choice, geometry: bool = True) -> Resolution:
+    def resolve(self, choice) -> Resolution:
         choice = tuple(choice)
         if len(choice) != self.n_crossings:
             raise ValueError("choice length must equal the crossing count")
-        cid_index = {c.id: i for i, c in enumerate(self.crossings)}
-
-        # Walk circles as cycles alternating arc traversals and smoothings.
-        # An arc end is (cid, pos); step 1: cross the arc; step 2: hop the
-        # smoothing connector at the far crossing.
-        visited_arcs = set()
-        circles = []
+        smoothing = {c.id: s for c, s in zip(self.crossings, choice)}
         oriented = choice == self.oriented_choice()
 
-        def other_end(arc: Arc, end):
-            return arc.head if end == arc.tail else arc.tail
-
+        # Walk each circle as a cycle alternating arc traversals and hops
+        # across the chosen smoothing at the far crossing.
+        visited = set()
+        circles = []
         for a0 in sorted(self.arcs):
+            if a0 in visited:
+                continue
             arc0 = self.arcs[a0]
-            if arc0.id in visited_arcs:
-                continue
-            if arc0.closed:
-                visited_arcs.add(arc0.id)
-                circles.append(self._finish_circle([(arc0.id, True)], [], geometry))
-                continue
-            member = []  # (arc id, forward?) in traversal order
-            hops = []  # (cid, pos_from, pos_to) connectors used
-            arc = arc0
-            entry = arc.tail  # traverse forward first
-            while True:
-                forward = entry == arc.tail
-                member.append((arc.id, forward))
-                visited_arcs.add(arc.id)
-                exit_end = arc.head if forward else arc.tail
+            member = [a0]
+            visited.add(a0)
+            exit_end = arc0.head
+            while exit_end is not None:
                 cid, pos = exit_end
-                mate = self.smoothing_mate(cid, pos, choice[cid_index[cid]])
-                hops.append((cid, pos, mate))
-                nxt = self.arcs[self.arc_at(cid, mate)]
-                if nxt.id == arc0.id and (cid, mate) == arc0.tail:
+                entry = (cid, self.smoothing_mate(cid, pos, smoothing[cid]))
+                if entry == arc0.tail:
                     break
-                # continue through nxt, entering at (cid, mate)
-                arc, entry = nxt, (cid, mate)
-            if oriented:
-                assert all(fw for _, fw in member), "oriented resolution must follow arc directions"
-            circles.append(self._finish_circle(member, hops, geometry))
-
+                arc = self.arcs[self.arc_at(*entry)]
+                forward = entry == arc.tail
+                assert forward or not oriented, \
+                    "oriented resolution must follow arc directions"
+                member.append(arc.id)
+                visited.add(arc.id)
+                exit_end = arc.head if forward else arc.tail
+            slots = frozenset().union(*(self.arcs[a].slots for a in member))
+            circles.append(Circle(arcs=frozenset(member), slots=slots))
         circles.sort(key=lambda c: min(c.arcs))
-        if geometry:
-            depths, ccws = nesting_and_ccw([c.path for c in circles])
-            for c, d, w in zip(circles, depths, ccws):
-                c.depth = d
-                c.ccw = w if oriented else None
         return Resolution(choice, circles)
 
-    def _finish_circle(self, member, hops, geometry) -> Circle:
-        arcs = frozenset(a for a, _ in member)
-        slots = frozenset().union(*(self.arcs[a].slots for a, _ in member)) if member else frozenset()
-        path = None
-        if geometry:
-            path = []
+    # -- faces and the Lee signs -----------------------------------------------
 
-            def extend(points):
-                for q in points:
-                    if not path or path[-1] != q:
-                        path.append(q)
+    def _next_dart(self, dart):
+        """The dart after (arc id, forward) on the face to its right: at the
+        crossing reached, leave through the next position counterclockwise."""
+        aid, forward = dart
+        arc = self.arcs[aid]
+        cid, pos = arc.head if forward else arc.tail
+        out = (cid, (pos + 1) % 4)
+        nxt = self.arcs[self.arc_at(*out)]
+        return (nxt.id, nxt.tail == out)
 
-            hop_paths = {}
-            for cid, pfrom, pto in hops:
-                hop_paths[(cid, pfrom)] = (cid, pfrom, pto)
-            for (aid, forward), hop in zip(member, hops + [None] * (len(member) - len(hops))):
-                apath = self.arcs[aid].path
-                extend(apath if forward else list(reversed(apath)))
-                if hop is not None:
-                    cid, pfrom, pto = hop
-                    extend(self._connector_path(cid, pfrom, pto))
-            if path and path[0] == path[-1]:
-                path.pop()
-        return Circle(arcs=arcs, path=path, slots=slots)
+    def faces(self):
+        """(faces, face_of): each face as its cycle of darts (arc id,
+        forward), with the face on the right of each dart; crossingless
+        circles bound no traced face."""
+        faces = []
+        face_of = {}
+        for aid in sorted(self.arcs):
+            if self.arcs[aid].closed:
+                continue
+            for start in ((aid, True), (aid, False)):
+                dart = start
+                walk = []
+                while dart not in face_of:
+                    face_of[dart] = len(faces)
+                    walk.append(dart)
+                    dart = self._next_dart(dart)
+                if walk:
+                    faces.append(walk)
+        return faces, face_of
 
-    def _connector_path(self, cid: int, pfrom: int, pto: int):
-        for smoothing in (0, 1):
-            for pa, pb, cpath in self.connectors[(cid, smoothing)]:
-                if (pa, pb) == (pfrom, pto):
-                    return cpath
-                if (pa, pb) == (pto, pfrom):
-                    return list(reversed(cpath))
-        raise AssertionError(f"no connector {pfrom}->{pto} at crossing {cid}")
+    def euler_check(self) -> bool:
+        """V - E + F = 2 on each connected 4-valent piece."""
+        parent = {c.id: c.id for c in self.crossings}
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        open_arcs = [a for a in self.arcs.values() if not a.closed]
+        for a in open_arcs:
+            parent[find(a.tail[0])] = find(a.head[0])
+        chi = {}
+        for c in self.crossings:
+            chi[find(c.id)] = chi.get(find(c.id), 0) + 1
+        for a in open_arcs:
+            chi[find(a.tail[0])] -= 1
+        faces, _ = self.faces()
+        for walk in faces:
+            aid, _forward = walk[0]
+            chi[find(self.arcs[aid].tail[0])] += 1
+        return all(v == 2 for v in chi.values())
+
+    def face_colours(self) -> dict:
+        """A checkerboard colouring: dart -> 0/1 colour of the face on its
+        right, with the two faces along every arc coloured differently.  The
+        first face of each connected piece gets colour 0."""
+        faces, face_of = self.faces()
+        colour = {}
+        for root in range(len(faces)):
+            if root in colour:
+                continue
+            colour[root] = 0
+            stack = [root]
+            while stack:
+                f = stack.pop()
+                for aid, forward in faces[f]:
+                    g = face_of[(aid, not forward)]
+                    if g not in colour:
+                        colour[g] = 1 - colour[f]
+                        stack.append(g)
+                    elif colour[g] == colour[f]:
+                        raise NonPlanar("the faces admit no checkerboard colouring")
+        return {dart: colour[f] for dart, f in face_of.items()}
+
+    def seifert_signs(self, res: Resolution) -> tuple:
+        """Lee-cycle sign per circle of the oriented resolution: (-1)^colour
+        of the face on the left of the circle (+1 for crossingless circles).
+
+        Along a Seifert circle the left faces are opposite corners at every
+        crossing, hence one colour; the two circles meeting at a crossing
+        have adjacent corners on their left, hence opposite signs.  Mod 2
+        the colour is Rasmussen's nesting depth plus counterclockwise
+        winding, up to a flip per connected piece, which exchanges s_o and
+        s_obar there and leaves every filtration level unchanged."""
+        colour = self.face_colours()
+        signs = []
+        for c in res.circles:
+            aid = min(c.arcs)
+            left = 0 if self.arcs[aid].closed else colour[(aid, False)]
+            signs.append(-1 if left else 1)
+        return tuple(signs)
 
     # -- misc invariants -------------------------------------------------------
 
     def seifert_count(self) -> int:
-        return len(self.resolve(self.oriented_choice(), geometry=False).circles)
+        return len(self.resolve(self.oriented_choice()).circles)
 
     def linking_matrix(self):
         ell = self.n_components
@@ -307,102 +341,25 @@ class OrientedDiagram:
                     mat[i][j] //= 2
         return mat
 
-    def euler_check(self) -> bool:
-        """V - E + F = 2 on each connected 4-valent component."""
-        open_arcs = [a for a in self.arcs.values() if not a.closed]
-        if not open_arcs:
-            return True
-        parent = {}
-
-        def find(x):
-            while parent.get(x, x) != x:
-                parent[x] = parent.get(parent[x], parent[x])
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            parent.setdefault(x, x)
-            parent.setdefault(y, y)
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-
-        for a in open_arcs:
-            union(("c", a.tail[0]), ("c", a.head[0]))
-        # face tracing: darts (arc id, forward); next = rotate CCW at the head
-        darts = [(a.id, True) for a in open_arcs] + [(a.id, False) for a in open_arcs]
-        seen = set()
-        faces = {}
-        for d0 in darts:
-            if d0 in seen:
-                continue
-            comp = None
-            d = d0
-            while d not in seen:
-                seen.add(d)
-                aid, fw = d
-                arc = self.arcs[aid]
-                cid, pos = arc.head if fw else arc.tail
-                comp = find(("c", cid))
-                nxt_pos = (pos + 1) % 4
-                nxt_arc = self.arcs[self.arc_at(cid, nxt_pos)]
-                d = (nxt_arc.id, nxt_arc.tail == (cid, nxt_pos))
-            faces[comp] = faces.get(comp, 0) + 1
-        by_comp_v = {}
-        by_comp_e = {}
-        for c in self.crossings:
-            r = find(("c", c.id))
-            by_comp_v[r] = by_comp_v.get(r, 0) + 1
-        for a in open_arcs:
-            r = find(("c", a.tail[0]))
-            by_comp_e[r] = by_comp_e.get(r, 0) + 1
-        for r, v in by_comp_v.items():
-            if v - by_comp_e.get(r, 0) + faces.get(r, 0) != 2:
-                return False
-        return True
-
     # -- transforms ------------------------------------------------------------
-
-    def _rebuild(self, crossings, arcs, braid, col_component=None, ports=None,
-                 connectors=None):
-        return OrientedDiagram(
-            crossings, arcs, self.n_components,
-            self.ports if ports is None else ports,
-            self.connectors if connectors is None else connectors,
-            braid=braid,
-            col_component=self.col_component if col_component is None else col_component,
-            slot_direction=self.slot_direction,
-        )
 
     def mirror(self) -> "OrientedDiagram":
         """Flip every crossing (over <-> under)."""
         new_crossings = []
-        ports = {}
-        connectors = {}
-        arc_slot_map = {}  # (cid, oldpos) -> (cid, newpos)
+        moved = {}  # (cid, old position) -> (cid, new position)
         for c in self.crossings:
-            over_in = 1 if self.arcs[c.ends[1]].head == (c.id, 1) else 3
-            r = over_in  # new position 0 = old position r
+            # the incoming over end becomes the incoming under end, position 0
+            r = 1 if self.arcs[c.ends[1]].head == (c.id, 1) else 3
             ends = tuple(c.ends[(i + r) % 4] for i in range(4))
             new_crossings.append(Crossing(c.id, -c.sign, ends))
             for old in range(4):
-                arc_slot_map[(c.id, old)] = (c.id, (old - r) % 4)
-                ports[(c.id, (old - r) % 4)] = self.ports[(c.id, old)]
-            for s in (0, 1):
-                moved = tuple(
-                    ((pa - r) % 4, (pb - r) % 4, path)
-                    for pa, pb, path in self.connectors[(c.id, s)]
-                )
-                connectors[(c.id, 1 - s)] = moved
-        arcs = {}
-        for a in self.arcs.values():
-            arcs[a.id] = replace(
-                a,
-                tail=arc_slot_map.get(a.tail, a.tail) if a.tail else None,
-                head=arc_slot_map.get(a.head, a.head) if a.head else None,
-            )
+                moved[(c.id, old)] = (c.id, (old - r) % 4)
+        arcs = {a.id: replace(a, tail=moved.get(a.tail), head=moved.get(a.head))
+                for a in self.arcs.values()}
         braid = self.braid.mirror() if self.braid else None
-        return self._rebuild(new_crossings, arcs, braid, ports=ports, connectors=connectors)
+        return OrientedDiagram(new_crossings, arcs, self.n_components, braid=braid,
+                               col_component=self.col_component,
+                               slot_direction=self.slot_direction)
 
     def reorient(self, flips) -> "OrientedDiagram":
         """Reverse the orientation of the given set of component indices."""
@@ -413,26 +370,14 @@ class OrientedDiagram:
         arcs = {}
         for a in self.arcs.values():
             if a.component in flips:
-                arcs[a.id] = replace(a, tail=a.head, head=a.tail,
-                                     path=list(reversed(a.path)))
+                arcs[a.id] = replace(a, tail=a.head, head=a.tail)
             else:
                 arcs[a.id] = replace(a)
         new_crossings = []
-        ports = {}
-        connectors = {}
         for c in self.crossings:
             under_flipped = self.arcs[c.ends[0]].component in flips
             r = 2 if under_flipped else 0
             ends = tuple(c.ends[(i + r) % 4] for i in range(4))
-            for old in range(4):
-                newpos = (old - r) % 4
-                ports[(c.id, newpos)] = self.ports[(c.id, old)]
-            for s in (0, 1):
-                moved = tuple(
-                    ((pa - r) % 4, (pb - r) % 4, path)
-                    for pa, pb, path in self.connectors[(c.id, s)]
-                )
-                connectors[(c.id, s)] = moved  # rotating by 2 preserves smoothing labels
             if r:
                 for aid in set(ends):
                     a = arcs[aid]
@@ -463,8 +408,8 @@ class OrientedDiagram:
                 if a.component in flips:
                     for slot in a.slots:
                         slot_direction[slot] = not slot_direction[slot]
-        return OrientedDiagram(new_crossings, arcs, self.n_components, ports,
-                               connectors, braid=braid, col_component=col_component,
+        return OrientedDiagram(new_crossings, arcs, self.n_components, braid=braid,
+                               col_component=col_component,
                                slot_direction=slot_direction)
 
     @staticmethod
@@ -476,84 +421,47 @@ class OrientedDiagram:
     def reverse(self) -> "OrientedDiagram":
         return self.reorient(range(self.n_components))
 
-    def bounding_box(self):
-        xs, ys = [], []
-        for a in self.arcs.values():
-            for x, y in a.path:
-                xs.append(x)
-                ys.append(y)
-        for (x, y) in self.ports.values():
-            xs.append(x)
-            ys.append(y)
-        if not xs:
-            return (Fraction(0), Fraction(0), Fraction(0), Fraction(0))
-        return (min(xs), min(ys), max(xs), max(ys))
-
 
 # ---------------------------------------------------------------------------
 # Braid closure construction
 
 
 def from_braid(b: BraidWord) -> OrientedDiagram:
-    """Standard (trace) closure of a braid-like word, with the canonical
-    layout: strands vertical, closure arcs nested on the right."""
+    """Standard (trace) closure of a braid-like word: strands run up the
+    columns, closure arcs pass to the right of the word."""
     n, letters = b.strands, b.letters
     m = len(letters)
 
     # Pieces are undirected curve segments between valence-2 boundary points
-    # P(c, j) (c = 1..n columns, j = 0..m row boundaries) and crossing ports.
-    pieces = []  # dict: kind, path, end0, end1 (("pt", c, j) or ("port", cid, corner))
-    crossing_rows = {}  # cid -> (row, col) for sign/bookkeeping
+    # ("pt", c, j) (c = 1..n columns, j = 0..m row boundaries) and crossing
+    # corners ("port", cid, corner).
+    pieces = []  # dict: kind, e = (end0, end1), slots, id
+    crossing_letter = {}  # cid -> sigma letter
     cid = 0
 
-    def add(kind, end0, end1, path, slots=()):
-        pieces.append({
-            "kind": kind, "e": (end0, end1), "path": path,
-            "slots": frozenset(slots), "id": len(pieces),
-        })
+    def add(kind, end0, end1, slots):
+        pieces.append({"kind": kind, "e": (end0, end1),
+                       "slots": frozenset(slots), "id": len(pieces)})
 
     for j in range(1, m + 1):
         letter = letters[j - 1]
+        i = abs(letter) if isinstance(letter, int) else letter[1]
         if isinstance(letter, int):
-            i = abs(letter)
-            involved = {i, i + 1}
-            crossing_rows[cid] = (j, i, letter)
-            x0, y0, y1 = Fraction(i), Fraction(j - 1), Fraction(j)
-            q = Fraction(1, 4)
-            bl = (x0 + q, y1 - 3 * q)
-            br = (x0 + 3 * q, y1 - 3 * q)
-            tr = (x0 + 3 * q, y1 - q)
-            tl = (x0 + q, y1 - q)
-            add("stub", ("pt", i, j - 1), ("port", cid, "BL"), [pt(i, j - 1), bl],
-                slots=[(j - 1, i)])
-            add("stub", ("pt", i + 1, j - 1), ("port", cid, "BR"), [pt(i + 1, j - 1), br],
-                slots=[(j - 1, i + 1)])
-            add("stub", ("port", cid, "TL"), ("pt", i, j), [tl, pt(i, j)],
-                slots=[(j, i)])
-            add("stub", ("port", cid, "TR"), ("pt", i + 1, j), [tr, pt(i + 1, j)],
-                slots=[(j, i + 1)])
+            crossing_letter[cid] = letter
+            add("stub", ("pt", i, j - 1), ("port", cid, "BL"), [(j - 1, i)])
+            add("stub", ("pt", i + 1, j - 1), ("port", cid, "BR"), [(j - 1, i + 1)])
+            add("stub", ("port", cid, "TL"), ("pt", i, j), [(j, i)])
+            add("stub", ("port", cid, "TR"), ("pt", i + 1, j), [(j, i + 1)])
             cid += 1
         else:
-            i = letter[1]
-            involved = {i, i + 1}
-            ycap, ycup = Fraction(j) - Fraction(5, 8), Fraction(j) - Fraction(3, 8)
-            add("cap", ("pt", i, j - 1), ("pt", i + 1, j - 1),
-                [pt(i, j - 1), (Fraction(i), ycap), (Fraction(i + 1), ycap), pt(i + 1, j - 1)],
-                slots=[(j - 1, i), (j - 1, i + 1)])
-            add("cup", ("pt", i, j), ("pt", i + 1, j),
-                [pt(i, j), (Fraction(i), ycup), (Fraction(i + 1), ycup), pt(i + 1, j)],
-                slots=[(j, i), (j, i + 1)])
+            add("cap", ("pt", i, j - 1), ("pt", i + 1, j - 1), [(j - 1, i), (j - 1, i + 1)])
+            add("cup", ("pt", i, j), ("pt", i + 1, j), [(j, i), (j, i + 1)])
         for c in range(1, n + 1):
-            if c not in involved:
-                add("straight", ("pt", c, j - 1), ("pt", c, j), [pt(c, j - 1), pt(c, j)],
-                    slots=[(j - 1, c), (j, c)])
+            if c not in (i, i + 1):
+                add("straight", ("pt", c, j - 1), ("pt", c, j), [(j - 1, c), (j, c)])
 
     for c in range(1, n + 1):
-        rho = n - c + 1
-        path = [pt(c, m), pt(c, m + rho), pt(n + rho, m + rho),
-                pt(n + rho, -rho), pt(c, -rho), pt(c, 0)]
-        add("closure", ("pt", c, m), ("pt", c, 0), path,
-            slots=[(m, c), (0, c)])
+        add("closure", ("pt", c, m), ("pt", c, 0), [(m, c), (0, c)])
 
     # adjacency at boundary points
     at_point = {}
@@ -587,7 +495,7 @@ def from_braid(b: BraidWord) -> OrientedDiagram:
         for e in p["e"]:
             if e[0] == "port":
                 stub_of[(e[1], e[2])] = p["id"]
-    for c0 in crossing_rows:
+    for c0 in crossing_letter:
         union(stub_of[(c0, "BL")], stub_of[(c0, "TR")])
         union(stub_of[(c0, "BR")], stub_of[(c0, "TL")])
 
@@ -614,24 +522,15 @@ def from_braid(b: BraidWord) -> OrientedDiagram:
                 # flow leaves through end1 when d, through end0 otherwise
                 outgoing = (endi == 1) == d
                 if e[0] == "pt":
-                    for qid, qend in at_point[e]:
-                        if (qid, qend) == (pid, endi):
-                            continue
-                        if outgoing:
-                            # neighbor receives the flow at its end qend
-                            stack.append((qid, qend == 0))
-                        else:
-                            # neighbor must deliver flow into this point
-                            stack.append((qid, qend == 1))
+                    nbrs = [(qid, qend) for qid, qend in at_point[e] if (qid, qend) != (pid, endi)]
                 else:
                     # the strand continues through the crossing diagonal
-                    _, c0, corner = e
-                    qid = stub_of[(c0, _diag_partner[corner])]
-                    qend = _port_end_index(qid)
-                    if outgoing:
-                        stack.append((qid, qend == 0))
-                    else:
-                        stack.append((qid, qend == 1))
+                    qid = stub_of[(e[1], _diag_partner[e[2]])]
+                    nbrs = [(qid, _port_end_index(qid))]
+                for qid, qend in nbrs:
+                    # an outgoing neighbor receives the flow at its end qend;
+                    # otherwise it must deliver flow into this point
+                    stack.append((qid, qend == (0 if outgoing else 1)))
 
     closure_pieces = [p for p in pieces if p["kind"] == "closure"]
     for p in sorted(closure_pieces, key=lambda p: p["e"][0][1]):
@@ -661,16 +560,16 @@ def from_braid(b: BraidWord) -> OrientedDiagram:
             continue
         for endi, e in enumerate(p["e"]):
             if e[0] == "port":
-                into = (direction[p["id"]] and endi == 1) or (not direction[p["id"]] and endi == 0)
-                stub_dir[(e[1], e[2])] = into
+                stub_dir[(e[1], e[2])] = direction[p["id"]] == (endi == 1)
 
     # component labels per piece root, numbered by smallest boundary point
     comp_of_root = {}
     root_key = {}
     for p in pieces:
         r = find(p["id"])
-        pts = [e for e in p["e"] if e[0] == "pt"]
-        for e in pts:
+        for e in p["e"]:
+            if e[0] != "pt":
+                continue
             k = (e[2], e[1])
             if r not in root_key or k < root_key[r]:
                 root_key[r] = k
@@ -681,86 +580,55 @@ def from_braid(b: BraidWord) -> OrientedDiagram:
     # walk arcs from port to port (or closed loops)
     consumed = set()
     arcs = {}
-    arc_ends = {}  # (cid, corner) -> (arc id, "tail"/"head")
-    next_arc = 0
 
     def walk(pid, from_end):
         """Follow the flow starting at piece pid entering from `from_end`
-        (0/1 index); returns (path, slots, end) where end is a port or None."""
-        path = []
+        (0/1 index); returns (slots, end) where end is a port or None."""
         slots = set()
         cur, came_from = pid, from_end
         while True:
             p = pieces[cur]
             consumed.add(cur)
-            pp = p["path"] if came_from == 0 else list(reversed(p["path"]))
-            for q in pp:
-                if not path or path[-1] != q:
-                    path.append(q)
             slots |= p["slots"]
             out_end = 1 - came_from
             e = p["e"][out_end]
             if e[0] == "port":
-                return path, slots, e
-            nbrs = [(qid, qe) for qid, qe in at_point[e] if (qid, qe) != (cur, out_end)]
-            (nq, nqe), = nbrs
+                return frozenset(slots), e
+            (nq, nqe), = [(qid, qe) for qid, qe in at_point[e] if (qid, qe) != (cur, out_end)]
             if nq in consumed:
-                return path, slots, None  # closed loop completed
+                return frozenset(slots), None  # closed loop completed
             cur, came_from = nq, nqe
 
     # arcs beginning at ports: start with the stub flowing away from the port
-    for p in sorted(pieces, key=lambda p: p["id"]):
+    for p in pieces:
         if p["kind"] != "stub" or p["id"] in consumed:
             continue
         d = direction[p["id"]]
         start_end = p["e"][0] if d else p["e"][1]
         if start_end[0] != "port":
             continue  # this stub flows into its port; it terminates some arc
-        path, slots, end = walk(p["id"], 0 if d else 1)
-        assert end is not None and end[0] == "port"
-        aid = next_arc
-        next_arc += 1
-        comp = comp_of_root[find(p["id"])]
-        arcs[aid] = Arc(aid, comp, tail=("port", start_end[1], start_end[2]),
-                        head=("port", end[1], end[2]), path=path,
-                        slots=frozenset(slots))
+        slots, end = walk(p["id"], 0 if d else 1)
+        aid = len(arcs)
+        arcs[aid] = Arc(aid, comp_of_root[find(p["id"])], tail=start_end[1:],
+                        head=end[1:], slots=slots)
     # closed components (no ports)
-    for p in sorted(pieces, key=lambda p: p["id"]):
+    for p in pieces:
         if p["id"] in consumed:
             continue
-        d = direction[p["id"]]
-        path, slots, end = walk(p["id"], 0 if d else 1)
-        assert end is None
-        if path and path[0] == path[-1]:
-            path.pop()
-        aid = next_arc
-        next_arc += 1
-        comp = comp_of_root[find(p["id"])]
-        arcs[aid] = Arc(aid, comp, tail=None, head=None, path=path,
-                        slots=frozenset(slots))
+        slots, _ = walk(p["id"], 0 if direction[p["id"]] else 1)
+        aid = len(arcs)
+        arcs[aid] = Arc(aid, comp_of_root[find(p["id"])], tail=None, head=None,
+                        slots=slots)
 
-    # crossing tuples, ports, connectors
-    corner_point = {}
-    for c0, (j, i, letter) in crossing_rows.items():
-        x0, y1 = Fraction(i), Fraction(j)
-        q = Fraction(1, 4)
-        corner_point[(c0, "BL")] = (x0 + q, y1 - 3 * q)
-        corner_point[(c0, "BR")] = (x0 + 3 * q, y1 - 3 * q)
-        corner_point[(c0, "TR")] = (x0 + 3 * q, y1 - q)
-        corner_point[(c0, "TL")] = (x0 + q, y1 - q)
-
+    arc_ends = {}  # (cid, corner) -> (arc id, "tail"/"head")
     for aid, a in arcs.items():
-        if a.closed:
-            continue
-        arc_ends[(a.tail[1], a.tail[2])] = (aid, "tail")
-        arc_ends[(a.head[1], a.head[2])] = (aid, "head")
+        if not a.closed:
+            arc_ends[a.tail] = (aid, "tail")
+            arc_ends[a.head] = (aid, "head")
 
     crossings = []
-    ports = {}
-    connectors = {}
     ccw_order = ["BL", "BR", "TR", "TL"]
-    for c0 in sorted(crossing_rows):
-        j, i, letter = crossing_rows[c0]
+    for c0, letter in crossing_letter.items():
         over_corners = ("BL", "TR") if letter > 0 else ("BR", "TL")
         under_corners = ("BR", "TL") if letter > 0 else ("BL", "TR")
         # the incoming under corner is the one whose stub flows into the port
@@ -769,41 +637,16 @@ def from_braid(b: BraidWord) -> OrientedDiagram:
             raise OrientationConflict(f"bad flow at crossing {c0}")
         start = ccw_order.index(under_in[0])
         order = [ccw_order[(start + k) % 4] for k in range(4)]
-        ends = []
-        for corner in order:
-            aid, role = arc_ends[(c0, corner)]
-            ends.append(aid)
-        # rewrite arc slot references in (cid, pos) form
+        # rewrite arc ends in (cid, position) form
         for posi, corner in enumerate(order):
             aid, role = arc_ends[(c0, corner)]
-            a = arcs[aid]
-            if role == "tail":
-                arcs[aid] = replace(a, tail=(c0, posi))
-            else:
-                arcs[aid] = replace(a, head=(c0, posi))
-            ports[(c0, posi)] = corner_point[(c0, corner)]
+            arcs[aid] = replace(arcs[aid], **{role: (c0, posi)})
         # sign: positive iff over strand comes in at position 3
         over_in = [cr for cr in over_corners if stub_dir[(c0, cr)]]
         if len(over_in) != 1:
             raise OrientationConflict(f"bad flow at crossing {c0}")
         sign = 1 if order.index(over_in[0]) == 3 else -1
-        crossings.append(Crossing(c0, sign, tuple(ends)))
-        # connectors: smoothing 0 joins positions (0,1) and (2,3); 1 joins (1,2),(3,0)
-        chord = {
-            frozenset(("BL", "BR")): [corner_point[(c0, "BL")], corner_point[(c0, "BR")]],
-            frozenset(("TL", "TR")): [corner_point[(c0, "TL")], corner_point[(c0, "TR")]],
-            frozenset(("BL", "TL")): [corner_point[(c0, "BL")], corner_point[(c0, "TL")]],
-            frozenset(("BR", "TR")): [corner_point[(c0, "BR")], corner_point[(c0, "TR")]],
-        }
-        for s, pairs in _SMOOTHING_PAIRS.items():
-            conns = []
-            for pa, pb in pairs:
-                ca, cb = order[pa], order[pb]
-                path = chord[frozenset((ca, cb))]
-                if path[0] != corner_point[(c0, ca)]:
-                    path = list(reversed(path))
-                conns.append((pa, pb, path))
-            connectors[(c0, s)] = tuple(conns)
+        crossings.append(Crossing(c0, sign, tuple(arc_ends[(c0, cr)][0] for cr in order)))
 
     col_component = tuple(
         comp_of_root[find(p["id"])] for p in sorted(closure_pieces, key=lambda p: p["e"][0][1])
@@ -814,20 +657,10 @@ def from_braid(b: BraidWord) -> OrientedDiagram:
     for p in pieces:
         d = direction[p["id"]]
         kind = p["kind"]
-        if kind == "straight":
-            (_, c, j0), (_, _c, j1) = p["e"]
-            slot_direction[(j0, c)] = d
-            slot_direction[(j1, c)] = d
-        elif kind == "stub":
-            for endi, e in enumerate(p["e"]):
-                if e[0] != "pt":
-                    continue
-                _, c, j = e
-                # lower stubs rise into the port; upper stubs rise out of it
-                if endi == 0:
-                    slot_direction[(j, c)] = d
-                else:
-                    slot_direction[(j, c)] = d
+        if kind in ("straight", "stub", "closure"):
+            for e in p["e"]:
+                if e[0] == "pt":
+                    slot_direction[(e[2], e[1])] = d
         elif kind == "cap":
             (_, c0, j), (_, c1, _j) = p["e"]
             slot_direction[(j, c0)] = d
@@ -836,12 +669,8 @@ def from_braid(b: BraidWord) -> OrientedDiagram:
             (_, c0, j), (_, c1, _j) = p["e"]
             slot_direction[(j, c0)] = not d
             slot_direction[(j, c1)] = d
-        elif kind == "closure":
-            (_, c, jm), (_, _c, j0) = p["e"]
-            slot_direction[(jm, c)] = d
-            slot_direction[(j0, c)] = d
-    return OrientedDiagram(crossings, arcs, n_components, ports, connectors,
-                           braid=b, col_component=col_component,
+    return OrientedDiagram(crossings, arcs, n_components, braid=b,
+                           col_component=col_component,
                            slot_direction=slot_direction)
 
 
@@ -868,22 +697,17 @@ def disjoint_union(d1: OrientedDiagram, d2: OrientedDiagram) -> OrientedDiagram:
         word = BraidWord(b1.strands + b2.strands, b1.letters + shifted,
                          b1.orientation + b2.orientation)
         return from_braid(word)
-    return _geometric_union(d1, d2)
+    return _merge(d1, d2)
 
 
-def _translate(path, dx, dy):
-    return [(x + dx, y + dy) for x, y in path]
-
-
-def _merge_raw(d1: OrientedDiagram, d2: OrientedDiagram, dx, dy):
-    """Shift d2 by (dx, dy) and merge structures with id offsets."""
+def _merge(d1: OrientedDiagram, d2: OrientedDiagram) -> OrientedDiagram:
+    """Both diagrams side by side; d2's crossing, arc and component ids
+    are shifted past d1's.  The result is not braid-built."""
     coff = len(d1.crossings)
     aoff = (max(d1.arcs) + 1) if d1.arcs else 0
     comp_off = d1.n_components
     crossings = list(d1.crossings)
-    arcs = {a.id: replace(a, path=list(a.path)) for a in d1.arcs.values()}
-    ports = dict(d1.ports)
-    connectors = dict(d1.connectors)
+    arcs = dict(d1.arcs)
     for c in d2.crossings:
         crossings.append(Crossing(c.id + coff, c.sign,
                                   tuple(e + aoff for e in c.ends)))
@@ -891,266 +715,34 @@ def _merge_raw(d1: OrientedDiagram, d2: OrientedDiagram, dx, dy):
         arcs[a.id + aoff] = Arc(
             a.id + aoff, a.component + comp_off,
             tail=(a.tail[0] + coff, a.tail[1]) if a.tail else None,
-            head=(a.head[0] + coff, a.head[1]) if a.head else None,
-            path=_translate(a.path, dx, dy), slots=frozenset())
-    for (cid, pos), p in d2.ports.items():
-        ports[(cid + coff, pos)] = (p[0] + dx, p[1] + dy)
-    for (cid, s), conns in d2.connectors.items():
-        connectors[(cid + coff, s)] = tuple(
-            (pa, pb, _translate(path, dx, dy)) for pa, pb, path in conns)
-    return OrientedDiagram(crossings, arcs, d1.n_components + d2.n_components,
-                           ports, connectors, braid=None)
-
-
-def _geometric_union(d1, d2):
-    x0a, y0a, x1a, y1a = d1.bounding_box()
-    x0b, y0b, x1b, y1b = d2.bounding_box()
-    dx = x1a - x0b + 2
-    return _merge_raw(d1, d2, dx, Fraction(0))
-
-
-def _segment_clearance2(d: OrientedDiagram, arc: "Arc", iseg: int, m):
-    """Squared distance from m to every piece of d except the host segment."""
-    from .geometry import dist2_point_segment
-
-    clearance = None
-
-    def consider(path, skip_idx=None):
-        nonlocal clearance
-        for i in range(len(path) - 1):
-            if skip_idx is not None and i == skip_idx:
-                continue
-            d2s = dist2_point_segment(m, path[i], path[i + 1])
-            if clearance is None or d2s < clearance:
-                clearance = d2s
-
-    for a in d.arcs.values():
-        pa = a.path + ([a.path[0]] if a.closed else [])
-        consider(pa, skip_idx=iseg if a.id == arc.id else None)
-    for conns in d.connectors.values():
-        for _, _, path in conns:
-            consider(path)
-    return clearance if clearance else Fraction(1)
-
-
-def _longest_segment(arc: "Arc"):
-    best = None
-    n = len(arc.path) - (0 if arc.closed else 1)
-    for i in range(n):
-        p = arc.path[i]
-        q = arc.path[(i + 1) % len(arc.path)]
-        l2 = (q[0] - p[0]) ** 2 + (q[1] - p[1]) ** 2
-        if best is None or l2 > best[0]:
-            best = (l2, i, p, q)
-    return best
-
-
-def _hull_cut(d: OrientedDiagram, comp: int):
-    """A cut site on a hull extreme of the whole drawing that lies on the
-    given component: (arc, vertex index, outward axis direction) or None.
-
-    Connector paths count toward the extremes (they must stay inside), so
-    an extreme is accepted only when the component's arc attains it."""
-    pts = []
-    extremes = [None] * 4  # max y, min y, max x, min x over everything
-    for a in d.arcs.values():
-        for i, p in enumerate(a.path):
-            pts.append((p, a, i))
-    for conns in d.connectors.values():
-        for _pa, _pb, path in conns:
-            for p in path:
-                pts.append((p, None, None))
-    if not pts:
-        return None
-    vals = [max(p[0][1] for p in pts), min(p[0][1] for p in pts),
-            max(p[0][0] for p in pts), min(p[0][0] for p in pts)]
-    axes = [((Fraction(0), Fraction(1)), lambda p: p[1] == vals[0]),
-            ((Fraction(0), Fraction(-1)), lambda p: p[1] == vals[1]),
-            ((Fraction(1), Fraction(0)), lambda p: p[0] == vals[2]),
-            ((Fraction(-1), Fraction(0)), lambda p: p[0] == vals[3])]
-    for outward, hit in axes:
-        best = None
-        for p, a, i in pts:
-            if a is None or a.component != comp or not hit(p):
-                continue
-            key = (p[0], p[1], a.id, i)
-            if best is None or key < best[0]:
-                best = (key, a, i)
-        if best is not None:
-            return best[1], best[2], outward
-    return None
+            head=(a.head[0] + coff, a.head[1]) if a.head else None)
+    return OrientedDiagram(crossings, arcs, d1.n_components + d2.n_components)
 
 
 def connect_sum(d1: OrientedDiagram, c1: int, d2: OrientedDiagram, c2: int) -> OrientedDiagram:
     """Splice component c2 of d2 into component c1 of d1, respecting
-    orientation.  The guest diagram is cut at a convex-hull extreme of its
-    drawing (so the junction region is empty of guest pieces), scaled into
-    the cleared gap on a host segment, and joined by two non-crossing
-    chords.  If c2 touches no hull extreme of d2 the roles are swapped."""
+    orientation.  The first arc of each component is cut and the ends are
+    rejoined tail1 -> head2 and tail2 -> head1.  The rotations at the
+    crossings are kept, so the faces right of the two cut arcs merge into
+    one face, as do the faces on their left: d2 sits in a face of d1 next
+    to the cut arc and the map stays planar."""
     if not 0 <= c1 < d1.n_components:
         raise BadComponent(f"component {c1} out of range")
     if not 0 <= c2 < d2.n_components:
         raise BadComponent(f"component {c2} out of range")
-    if _hull_cut(d2, c2) is None:
-        if _hull_cut(d1, c1) is None:
-            from .errors import LayoutError
-
-            raise LayoutError("neither chosen component touches its hull")
-        return connect_sum(d2, c2, d1, c1)
-
-    def pick_arc(d, comp):
-        cands = [a for a in d.arcs.values() if a.component == comp]
-        if not cands:
-            raise BadComponent(f"component {comp} has no arcs")
-        return min(cands, key=lambda a: a.id)
-
-    a1 = pick_arc(d1, c1)
-    len2_1, i1, p1, q1 = _longest_segment(a1)
-    dir1 = (q1[0] - p1[0], q1[1] - p1[1])
-    len2 = dir1[0] ** 2 + dir1[1] ** 2
-    m1 = ((p1[0] + q1[0]) / 2, (p1[1] + q1[1]) / 2)
-    host_cl2 = min(_segment_clearance2(d1, a1, i1, m1), len2_1 / 16)
-    perp = (-dir1[1], dir1[0])
-
-    a2, iv, outward = _hull_cut(d2, c2)
-    vpt = a2.path[iv]
-    # the cut segment: the longer of the (at most two) segments at v
-    cands = []
-    npath = len(a2.path)
-    if a2.closed or iv + 1 < npath:
-        cands.append((iv, a2.path[(iv + 1) % npath]))       # v -> next
-    if a2.closed or iv > 0:
-        cands.append(((iv - 1) % npath, a2.path[(iv - 1) % npath]))  # prev -> v
-    if not cands:
-        raise BadComponent("degenerate cut arc")
-    iseg2, wpt = max(cands, key=lambda c: (c[1][0] - vpt[0]) ** 2 + (c[1][1] - vpt[1]) ** 2)
-
-    # flow through the cut: the arc traverses path[iseg2] -> path[iseg2+1]
-    seg_from, seg_to = a2.path[iseg2], a2.path[(iseg2 + 1) % npath]
-    v_is_from = seg_from == vpt
-    # downstream direction along the cut segment (flow order)
-    d_cut = (seg_to[0] - seg_from[0], seg_to[1] - seg_from[1])
-
-    # rotation R0: outward -> -perp (guest above the host line, tip down);
-    # |R0| scales by |dir1|
-    aa = -(perp[0] * outward[0] + perp[1] * outward[1])
-    bb = -(perp[1] * outward[0] - perp[0] * outward[1])
-
-    def rot0(w):
-        return (aa * w[0] - bb * w[1], bb * w[0] + aa * w[1])
-
-    ddown = rot0(d_cut)
-    dot_dir = ddown[0] * dir1[0] + ddown[1] * dir1[1]
-    dot_out = (d_cut[0] * outward[0] + d_cut[1] * outward[1])
-    downstream_inward = dot_out < 0 or (dot_out == 0 and not v_is_from)
-    bad = dot_dir > 0 or (dot_dir == 0 and downstream_inward)
-    if bad:
-        side = (-perp[0], -perp[1])
-
-        def rot(w):
-            x, y = rot0(w)
-            return (-x, -y)
-    else:
-        side = perp
-
-        def rot(w):
-            return rot0(w)
-
-    # sizes: gap +-tau on the host; guest ball radius <= tau|dir1|/4;
-    # tip offset delta = tau/2
-    tau = Fraction(1, 4)
-    while tau * tau * len2 * 16 > host_cl2:
-        tau /= 2
-    x0b, y0b, x1b, y1b = d2.bounding_box()
-    corners = [(x0b, y0b), (x0b, y1b), (x1b, y0b), (x1b, y1b)]
-    diam2 = max(((c[0] - vpt[0]) ** 2 + (c[1] - vpt[1]) ** 2 for c in corners),
-                default=Fraction(1)) or Fraction(1)
-    # the similarity rot scales guest lengths by |dir1|, so the placed guest
-    # radius is sigma*|dir1|*sqrt(diam2); keep it below tau*|dir1|/8
-    sigma = Fraction(1)
-    while sigma * sigma * diam2 * 64 > tau * tau:
-        sigma /= 2
-    delta = tau / 2
-    v_pos = (m1[0] + delta * side[0], m1[1] + delta * side[1])
-
-    def place(pnt):
-        x, y = rot((pnt[0] - vpt[0], pnt[1] - vpt[1]))
-        return (v_pos[0] + sigma * x, v_pos[1] + sigma * y)
-
-    p1in = (m1[0] - tau * dir1[0], m1[1] - tau * dir1[1])
-    q1out = (m1[0] + tau * dir1[0], m1[1] + tau * dir1[1])
-
-    # merge structures with d2 placed; then splice arcs
-    merged = _merge_raw(d1, d2, Fraction(0), Fraction(0))
-    coff = len(d1.crossings)
-    aoff = (max(d1.arcs) + 1) if d1.arcs else 0
-    for a in d2.arcs.values():
-        merged.arcs[a.id + aoff].path = [place(p) for p in a.path]
-    for (cid, pos), p in d2.ports.items():
-        merged.ports[(cid + coff, pos)] = place(p)
-    for (cid, sm), conns in d2.connectors.items():
-        merged.connectors[(cid + coff, sm)] = tuple(
-            (pa, pb, [place(p) for p in path]) for pa, pb, path in conns)
-
-    A1 = merged.arcs[a1.id]
-    A2 = merged.arcs[a2.id + aoff]
-
-    # host cut: replace segment i1 by the gap
-    def split_host(path, closed, iseg, cut_in, cut_out):
-        if not closed:
-            return path[: iseg + 1] + [cut_in], [cut_out] + path[iseg + 1:]
-        loop = path[iseg + 1:] + path[: iseg + 1]
-        return path[: iseg + 1] + [cut_in], [cut_out] + loop
-
-    pre1, suf1 = split_host(A1.path, A1.closed, i1, p1in, q1out)
-
-    # guest cut at the placed extreme vertex; a short stub of the cut
-    # segment survives on the far side
-    vplaced = place(vpt)
-    eps = Fraction(1, 4)
-    far = place((vpt[0] + eps * (wpt[0] - vpt[0]), vpt[1] + eps * (wpt[1] - vpt[1])))
-    k = len(A2.path)
-    P2 = A2.path
-    cut_loop = None
-    if v_is_from:
-        # flow v -> w: upstream ends at v, downstream starts at far
-        pre2 = P2[: iseg2 + 1]
-        suf2 = [far] + P2[iseg2 + 1:]
-        if A2.closed:
-            cut_loop = [far] + P2[iseg2 + 1:] + P2[: iseg2 + 1]
-    else:
-        # flow w -> v (v = seg_to): upstream ends at far, downstream at v
-        pre2 = P2[: iseg2 + 1] + [far]
-        suf2 = P2[(iseg2 + 1) % k:] if (iseg2 + 1) % k else [P2[0]]
-        if A2.closed:
-            cut_loop = (P2[(iseg2 + 1) % k:] if (iseg2 + 1) % k else []) \
-                + P2[: iseg2 + 1] + [far]
-            if (iseg2 + 1) % k == 0:
-                cut_loop = P2[:] + [far]
-
-    comp_off = d1.n_components
-    old_c2 = c2 + comp_off
+    merged = _merge(d1, d2)
     arcs = merged.arcs
-    if not A1.closed and not A2.closed:
-        arcs[A1.id] = Arc(A1.id, c1, tail=A1.tail, head=A2.head,
-                          path=_dedup_path(pre1 + suf2), slots=frozenset())
-        arcs[A2.id] = Arc(A2.id, c1, tail=A2.tail, head=A1.head,
-                          path=_dedup_path(pre2 + suf1), slots=frozenset())
-    elif A1.closed and not A2.closed:
-        arcs[A2.id] = Arc(A2.id, c1, tail=A2.tail, head=A2.head,
-                          path=_dedup_path(pre2 + suf1 + [p1in] + suf2),
-                          slots=frozenset())
-        del arcs[A1.id]
-    elif not A1.closed and A2.closed:
-        arcs[A1.id] = Arc(A1.id, c1, tail=A1.tail, head=A1.head,
-                          path=_dedup_path(pre1 + cut_loop + suf1),
-                          slots=frozenset())
-        del arcs[A2.id]
+    aoff = (max(d1.arcs) + 1) if d1.arcs else 0
+    old_c2 = c2 + d1.n_components
+    a1 = arcs[min(a.id for a in d1.arcs.values() if a.component == c1)]
+    a2 = arcs[min(a.id for a in d2.arcs.values() if a.component == c2) + aoff]
+    if a2.closed:
+        del arcs[a2.id]
+    elif a1.closed:
+        del arcs[a1.id]
     else:
-        arcs[A1.id] = Arc(A1.id, c1, tail=None, head=None,
-                          path=_dedup_path(cut_loop + suf1 + [p1in]),
-                          slots=frozenset())
-        del arcs[A2.id]
+        arcs[a1.id] = replace(a1, head=a2.head)
+        arcs[a2.id] = replace(a2, head=a1.head)
 
     # renumber components: old_c2 merges into c1
     remap = {}
@@ -1161,31 +753,14 @@ def connect_sum(d1: OrientedDiagram, c1: int, d2: OrientedDiagram, c2: int) -> O
         remap[comp] = nxt
         nxt += 1
     remap[old_c2] = remap[c1]
+    slot_arc = {}
     for aid, a in list(arcs.items()):
         arcs[aid] = replace(a, component=remap[a.component])
-    slot_arc = {}
-    for a in arcs.values():
-        if a.tail is not None:
-            slot_arc[a.tail] = a.id
-        if a.head is not None:
-            slot_arc[a.head] = a.id
+        if not a.closed:
+            slot_arc[a.tail] = slot_arc[a.head] = aid
     crossings = [Crossing(c.id, c.sign, tuple(slot_arc[(c.id, p)] for p in range(4)))
                  for c in merged.crossings]
-    out = OrientedDiagram(crossings, arcs,
-                          d1.n_components + d2.n_components - 1,
-                          merged.ports, merged.connectors, braid=None)
-    from .pdcode import _validate_diagram_geometry
-
-    _validate_diagram_geometry(out.arcs, out.connectors)
-    return out
-
-
-def _dedup_path(path):
-    out = [path[0]]
-    for q in path[1:]:
-        if q != out[-1]:
-            out.append(q)
-    return out
+    return OrientedDiagram(crossings, arcs, d1.n_components + d2.n_components - 1)
 
 
 # convenience wrappers matching the public operation names
@@ -1195,8 +770,8 @@ def oriented_choice(d: OrientedDiagram):
     return d.oriented_choice()
 
 
-def resolve(d: OrientedDiagram, choice, geometry: bool = True):
-    return d.resolve(choice, geometry=geometry)
+def resolve(d: OrientedDiagram, choice):
+    return d.resolve(choice)
 
 
 def seifert_count(d: OrientedDiagram) -> int:

@@ -28,7 +28,7 @@ class ResourceLimit(KhleeError):
 class NotACycle(KhleeError):
     """A chain expected to be a cycle has nonzero differential.
 
-    This signals a nesting/orientation bug and is never silently ignored.
+    This signals a circle-sign bug and is never silently ignored.
     """
 
 
@@ -42,7 +42,3 @@ class NotNullHomologous(KhleeError):
 
 class NotPositive(KhleeError):
     """An operation requiring a positive base diagram got negative crossings."""
-
-
-class LayoutError(KhleeError):
-    """No valid exact planar layout could be produced for a diagram."""

@@ -1,11 +1,12 @@
 """Canonical Lee cycles, quantum filtration levels, and the s-invariant.
 
 The Lee cycle of an orientation o lives on the oriented resolution: each
-circle C gets (-1)^{z(C)} 1 + x, where z(C) counts the circles enclosing C
-plus one if C runs counterclockwise.  Both filtration engines (brute cube
-slice, reduced complex with a tracked retraction) end in the same
-descending-level solve: the level of [z] is the q-degree of the first
-coordinate at which z stops being reducible modulo boundaries.
+circle C gets (-1)^{c(C)} 1 + x, where c(C) is the checkerboard colour of
+the diagram face on the left of C (``OrientedDiagram.seifert_signs``).
+Both filtration engines (brute cube slice, reduced complex with a tracked
+retraction) end in the same descending-level solve: the level of [z] is the
+q-degree of the first coordinate at which z stops being reducible modulo
+boundaries.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ class LeeChain:
     diagram: OrientedDiagram  # reoriented per the chain's orientation
     orientation: tuple  # +1/-1 per component of the original diagram
     choice: tuple  # the oriented resolution of the reoriented diagram
-    circle_signs: tuple  # (-1)^{z(C)} per circle, in resolution order
+    circle_signs: tuple  # Lee sign per circle, in resolution order
     terms: dict  # label mask -> Fraction
 
     @property
@@ -90,7 +91,7 @@ def _check_cycle_local(d: OrientedDiagram, res, terms) -> None:
         if choice[i] != 0:
             continue
         ch2 = choice[:i] + (1,) + choice[i + 1:]
-        arcs2 = [c.arcs for c in d.resolve(ch2, geometry=False).circles]
+        arcs2 = [c.arcs for c in d.resolve(ch2).circles]
         arc2circle2 = {}
         for j, arcs in enumerate(arcs2):
             for a in arcs:
@@ -117,7 +118,7 @@ def _check_cycle_local(d: OrientedDiagram, res, terms) -> None:
         if any(v != 0 for v in acc.values()):
             raise NotACycle(
                 f"Lee chain is not a cycle at t=1 (crossing {i}); this "
-                "signals a nesting/orientation computation bug")
+                "signals a circle-sign computation bug")
 
 
 def lee_generator(d: OrientedDiagram, orientation=None, verify: bool = True) -> LeeChain:
@@ -131,11 +132,8 @@ def lee_generator(d: OrientedDiagram, orientation=None, verify: bool = True) -> 
         raise KhleeError("orientation vector length must equal component count")
     flips = {i for i, s in enumerate(orientation) if s < 0}
     dd = d.reorient(flips) if flips else d
-    res = dd.resolve(dd.oriented_choice(), geometry=True)
-    signs = []
-    for c in res.circles:
-        z = c.depth + (1 if c.ccw else 0)
-        signs.append(1 if z % 2 == 0 else -1)
+    res = dd.resolve(dd.oriented_choice())
+    signs = dd.seifert_signs(res)
     terms = _expand_terms(signs)
     if verify:
         _check_cycle_local(dd, res, terms)

@@ -1,4 +1,4 @@
-"""PD-code input: parsing, planarity check, and an exact planar layout.
+"""PD-code input: parsing and the planarity check.
 
 Grammar: ``PD[X(a,b,c,d), ...]`` with an optional suffix
 ``; orient: comp1=+,comp2=-``.  Entries follow the dominant community
@@ -6,21 +6,18 @@ convention: the incoming under-strand first, then counterclockwise.  Arcs
 are numbered consecutively along each component, which fixes the implicit
 orientation; the orient suffix reverses chosen components afterwards.
 
-The layout subdivides every arc, star-triangulates the faces of the planar
-map, pins one face as the outer boundary, and solves the Tutte system
-exactly over Q.  The drawing is then validated edge-by-edge with exact
-segment intersection tests, so a bad embedding raises instead of producing
-silently wrong nesting numbers.
+The crossing tuples are the rotation system of a planar map, so the parsed
+diagram needs no layout: each arc runs from its outgoing to its incoming
+crossing end, and the faces traced from the rotations must satisfy Euler's
+formula.  Codes of split links are accepted.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
-from .diagrams import Arc, Crossing, OrientedDiagram, _SMOOTHING_PAIRS
-from .errors import LayoutError, NonPlanar, OrientationConflict, ParseError
-from .geometry import dist2_point_segment, segments_intersect
+from .diagrams import Arc, Crossing, OrientedDiagram
+from .errors import NonPlanar, OrientationConflict, ParseError
 
 _PD_RE = re.compile(r"^\s*PD\[(.*)\]\s*(?:;\s*orient:\s*(.*))?\s*$", re.DOTALL)
 _X_RE = re.compile(r"X\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)")
@@ -40,13 +37,14 @@ def parse_pd(text: str) -> OrientedDiagram:
             raise ParseError(f"unrecognized tokens in PD body: {cleaned!r}")
         tuples = [tuple(int(x) for x in t) for t in consumed]
     if not tuples:
-        return OrientedDiagram([], {}, 0, {}, {}, braid=None)
+        return OrientedDiagram([], {}, 0)
 
-    arcs_seen = {}
+    # the two crossing ends (ci, pos) of every arc label
+    by_arc = {}
     for ci, t in enumerate(tuples):
         for pos, a in enumerate(t):
-            arcs_seen.setdefault(a, []).append((ci, pos))
-    for a, ends in arcs_seen.items():
+            by_arc.setdefault(a, []).append((ci, pos))
+    for a, ends in by_arc.items():
         if len(ends) != 2:
             raise ParseError(f"arc {a} appears {len(ends)} times; expected 2")
 
@@ -54,7 +52,6 @@ def parse_pd(text: str) -> OrientedDiagram:
     # leaves at position 2; every arc has exactly one incoming and one
     # outgoing end; at every crossing exactly one of the over ends (1, 3)
     # is incoming.  Propagate these constraints to orient the over strands.
-    by_arc = _darts(tuples)
     role = {}  # (ci, pos) -> "in"/"out" (relative to the crossing)
 
     def set_role(end, value):
@@ -67,8 +64,7 @@ def parse_pd(text: str) -> OrientedDiagram:
         work = []
         ci, pos = end
         # the same arc's other end has the opposite role
-        a = tuples[ci][pos]
-        e1, e2 = by_arc[a]
+        e1, e2 = by_arc[tuples[ci][pos]]
         other = e2 if e1 == end else e1
         work.append((other, "out" if value == "in" else "in"))
         # the partner over end of the same crossing, if this is an over end
@@ -91,698 +87,40 @@ def parse_pd(text: str) -> OrientedDiagram:
         worklist += set_role(min(free), "in")  # canonical choice for
         # components that are everywhere the over strand
 
-    # crossing signs: positive when the over strand comes in at position 3
-    signs = []
-    for ci in range(len(tuples)):
-        signs.append(1 if role[(ci, 3)] == "in" else -1)
-
     # components: follow the flow in -> out through each crossing
     comp_of = {}
     comp = 0
-    for a0 in sorted(arcs_seen):
+    for a0 in sorted(by_arc):
         if a0 in comp_of:
             continue
         a = a0
         while a not in comp_of:
             comp_of[a] = comp
             e1, e2 = by_arc[a]
-            head = e1 if role[e1] == "in" else e2
-            ci, pos = head
+            ci, pos = e1 if role[e1] == "in" else e2
             if pos in (0, 2):
                 out_pos = 2
             else:
                 out_pos = 3 if role[(ci, 3)] == "out" else 1
             a = tuples[ci][out_pos]
         comp += 1
-    n_components = comp
 
-    # planarity: faces of the rotation system (tuple order is counterclockwise)
-    _check_euler(tuples)
-
-    d = _build_geometry(tuples, signs, comp_of, n_components)
+    # an arc runs from its outgoing end to its incoming end; a crossing is
+    # positive when its over strand comes in at position 3
+    arcs = {}
+    for a, (e1, e2) in by_arc.items():
+        tail, head = (e2, e1) if role[e1] == "in" else (e1, e2)
+        arcs[a] = Arc(a, comp_of[a], tail=tail, head=head)
+    crossings = [Crossing(ci, 1 if role[(ci, 3)] == "in" else -1, t)
+                 for ci, t in enumerate(tuples)]
+    d = OrientedDiagram(crossings, arcs, comp)
+    if not d.euler_check():
+        raise NonPlanar("the Euler characteristic check V - E + F = 2 failed")
     if orient_suffix:
-        flips = _parse_orient(orient_suffix, n_components)
+        flips = _parse_orient(orient_suffix, comp)
         if flips:
             d = d.reorient(flips)
     return d
-
-
-def _build_geometry(tuples, signs, comp_of, n_components):
-    """Layout with nugatory (kink) crossings stripped first and reattached
-    as small exact loop bubbles afterwards."""
-    kinks = []  # (crossing index, tuple, loop arc, in arc, out arc, merged arc)
-    work = [list(t) for t in tuples]
-    active = list(range(len(tuples)))
-    while True:
-        found = None
-        for ci in active:
-            t = work[ci]
-            for p in range(4):
-                if t[p] == t[(p + 1) % 4]:
-                    found = (ci, p)
-                    break
-            if found:
-                break
-        if not found:
-            break
-        ci, p = found
-        t = work[ci]
-        loop = t[p]
-        thr1, thr2 = t[(p + 2) % 4], t[(p + 3) % 4]
-        # the through strand enters at one of the remaining slots and leaves
-        # at the other; merge the two through arcs into one label
-        keep, drop = min(thr1, thr2), max(thr1, thr2)
-        kinks.append((ci, tuple(t), loop, keep, drop))
-        active.remove(ci)
-        if keep != drop:
-            for cj in active:
-                work[cj] = [keep if x == drop else x for x in work[cj]]
-        else:
-            # the through strand is itself a closed loop: a 1-crossing
-            # unknot component; lay it out as a standalone kink below
-            pass
-
-    reduced = [tuple(work[ci]) for ci in active]
-    if reduced:
-        layout = _tutte_layout(reduced)
-        d = _assemble(reduced, [signs[ci] for ci in active],
-                      comp_of, n_components, layout, index_map=active)
-    else:
-        d = OrientedDiagram([], {}, n_components, {}, {}, braid=None)
-    for ci, t, loop, keep, drop in reversed(kinks):
-        d = _reattach_kink(d, ci, t, loop, keep, drop, signs[ci], comp_of)
-    _validate_diagram_geometry(d.arcs, d.connectors)
-    return d
-
-
-def _darts(tuples):
-    """Darts are (crossing, position) pairs; each arc has two."""
-    by_arc = {}
-    for ci, t in enumerate(tuples):
-        for pos, a in enumerate(t):
-            by_arc.setdefault(a, []).append((ci, pos))
-    return by_arc
-
-
-def _check_euler(tuples) -> None:
-    by_arc = _darts(tuples)
-    # connected components of the 4-valent graph
-    parent = {}
-
-    def find(x):
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for a, ((c1, _p1), (c2, _p2)) in by_arc.items():
-        union(c1, c2)
-    # face tracing: from the end (c, p) walk the face on one side
-    seen = set()
-    faces = {}
-    for a, ends in by_arc.items():
-        for k in (0, 1):
-            dart = (a, k)
-            if dart in seen:
-                continue
-            root = None
-            cur = dart
-            while cur not in seen:
-                seen.add(cur)
-                aa, kk = cur
-                c, p = by_arc[aa][kk]
-                root = find(c)
-                p2 = (p + 1) % 4
-                a2 = tuples[c][p2]
-                e1, _e2 = by_arc[a2]
-                # leave through (c, p2); the dart arrives at the far end
-                cur = (a2, 1 if e1 == (c, p2) else 0)
-            faces[root] = faces.get(root, 0) + 1
-    vv = {}
-    ee = {}
-    for ci in range(len(tuples)):
-        vv[find(ci)] = vv.get(find(ci), 0) + 1
-    for a, ((c1, _), (_c2, _2)) in by_arc.items():
-        ee[find(c1)] = ee.get(find(c1), 0) + 1
-    for r, v in vv.items():
-        if v - ee.get(r, 0) + faces.get(r, 0) != 2:
-            raise NonPlanar("the Euler characteristic check V - E + F = 2 failed")
-
-
-def _face_walks(tuples):
-    """All faces as dart cycles; a dart is (arc, end index)."""
-    by_arc = _darts(tuples)
-    seen = set()
-    walks = []
-    for a in sorted(by_arc):
-        for k in (0, 1):
-            dart = (a, k)
-            if dart in seen:
-                continue
-            walk = []
-            cur = dart
-            while cur not in seen:
-                seen.add(cur)
-                walk.append(cur)
-                aa, kk = cur
-                c, p = by_arc[aa][kk]
-                p2 = (p + 1) % 4
-                a2 = tuples[c][p2]
-                e1, _e2 = by_arc[a2]
-                cur = (a2, 1 if e1 == (c, p2) else 0)
-            walks.append(walk)
-    return walks, by_arc
-
-
-def _tutte_layout(tuples):
-    """Positions for crossings and two subdivision nodes per arc."""
-    walks, by_arc = _darts_and_walks(tuples)
-    # nodes: ("c", i) crossings, ("a", arc, 0/1) subdivision points
-    adj = {}
-
-    def add_edge(u, v):
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-
-    for a, ((c1, p1), (c2, p2)) in by_arc.items():
-        add_edge(("c", c1), ("a", a, 0))
-        add_edge(("a", a, 0), ("a", a, 1))
-        add_edge(("a", a, 1), ("c", c2))
-
-    # face walks in terms of subdivided vertex cycles
-    face_cycles = []
-    for walk in walks:
-        cycle = []
-        for (a, k) in walk:
-            c, p = by_arc[a][k]
-            # the dart traverses arc a arriving at (c, p); the face corner
-            # continues through the crossing
-            if by_arc[a][0] == (c, p):
-                cycle += [("a", a, 1), ("a", a, 0)]
-            else:
-                cycle += [("a", a, 0), ("a", a, 1)]
-            cycle.append(("c", c))
-        face_cycles.append(cycle)
-
-    # choose the outer face: longest simple cycle, ties by the cycle itself
-    outer = None
-    for cyc in face_cycles:
-        if len(set(cyc)) != len(cyc):
-            continue
-        key = (-len(cyc), tuple(sorted(map(str, cyc))))
-        if outer is None or key < outer[0]:
-            outer = (key, cyc)
-    if outer is None:
-        raise LayoutError("no simple face available as the outer boundary")
-    outer_cycle = outer[1]
-
-    # star-triangulate the inner faces
-    for fi, cyc in enumerate(face_cycles):
-        if cyc is outer_cycle:
-            continue
-        apex = ("f", fi)
-        for v in dict.fromkeys(cyc):  # dedupe repeated corners
-            add_edge(apex, v)
-
-    # pin the outer cycle on a convex polygon (rational points on a circle
-    # via the tangent half-angle parametrization)
-    k = len(outer_cycle)
-    positions = {}
-    for i, v in enumerate(outer_cycle):
-        tpar = Fraction(i, k)  # in [0, 1)
-        # rational point on the unit circle: ((1-u^2)/(1+u^2), 2u/(1+u^2))
-        # with u = tan(pi t / 2) replaced by the rational chord u = 2t - 1
-        u = 2 * tpar - 1
-        den = 1 + u * u
-        positions[v] = (Fraction(100) * (1 - u * u) / den, Fraction(100) * 2 * u / den)
-    if len(set(positions.values())) != k:
-        raise LayoutError("outer boundary points collided")
-
-    interior = [v for v in adj if v not in positions]
-    index = {v: i for i, v in enumerate(interior)}
-    # Tutte system: v = average of neighbors
-    nvar = len(interior)
-    rhs_x = [Fraction(0)] * nvar
-    rhs_y = [Fraction(0)] * nvar
-    mat = [dict() for _ in range(nvar)]
-    for v in interior:
-        i = index[v]
-        nbrs = adj[v]
-        mat[i][i] = Fraction(len(nbrs))
-        for w in nbrs:
-            if w in positions:
-                rhs_x[i] += positions[w][0]
-                rhs_y[i] += positions[w][1]
-            else:
-                j = index[w]
-                mat[i][j] = mat[i].get(j, Fraction(0)) - 1
-    sol_x = _solve_sparse([dict(r) for r in mat], list(rhs_x))
-    sol_y = _solve_sparse([dict(r) for r in mat], list(rhs_y))
-    if sol_x is None or sol_y is None:
-        raise LayoutError("the Tutte system is singular")
-    for v in interior:
-        i = index[v]
-        positions[v] = (sol_x[i], sol_y[i])
-
-    # drop apexes; collect the drawing of the subdivided diagram graph
-    segments = []
-    for a, ((c1, p1), (c2, p2)) in by_arc.items():
-        chain = [("c", c1), ("a", a, 0), ("a", a, 1), ("c", c2)]
-        pts = [positions[v] for v in chain]
-        for s, t in zip(pts, pts[1:]):
-            segments.append((s, t, a))
-    _validate_drawing(segments, tuples, by_arc, positions)
-    return positions, by_arc, segments
-
-
-def _darts_and_walks(tuples):
-    walks, by_arc = _face_walks(tuples)
-    return walks, by_arc
-
-
-def _solve_sparse(mat, rhs):
-    """Gaussian elimination for row-dict systems over Q."""
-    n = len(rhs)
-    rows = list(range(n))
-    where = [None] * n
-    for col in range(n):
-        piv = None
-        for r in rows:
-            if where[r] is None and mat[r].get(col):
-                piv = r
-                break
-        if piv is None:
-            return None
-        where[piv] = col
-        pv = mat[piv][col]
-        mat[piv] = {c: v / pv for c, v in mat[piv].items()}
-        rhs[piv] = rhs[piv] / pv
-        for r in range(n):
-            if r != piv and mat[r].get(col):
-                f = mat[r][col]
-                for c, v in mat[piv].items():
-                    nv = mat[r].get(c, Fraction(0)) - f * v
-                    if nv:
-                        mat[r][c] = nv
-                    else:
-                        mat[r].pop(c, None)
-                rhs[r] -= f * rhs[piv]
-    sol = [Fraction(0)] * n
-    for r in range(n):
-        sol[where[r]] = rhs[r]
-    return sol
-
-
-def _validate_drawing(segments, tuples, by_arc, positions) -> None:
-    pts = {}
-    for v, p in positions.items():
-        if v[0] == "f":
-            continue
-        if p in pts:
-            raise LayoutError(f"vertices {pts[p]} and {v} collided")
-        pts[p] = v
-    for i in range(len(segments)):
-        s1, t1, a1 = segments[i]
-        if s1 == t1:
-            raise LayoutError("zero-length segment in the layout")
-        for j in range(i + 1, len(segments)):
-            s2, t2, a2 = segments[j]
-            shared = {s1, t1} & {s2, t2}
-            if shared:
-                # consecutive segments may touch at their shared endpoint
-                continue
-            if segments_intersect(s1, t1, s2, t2):
-                raise LayoutError("the layout has crossing edges")
-
-
-def _assemble(tuples, signs, comp_of, n_components, layout, index_map=None):
-    positions, by_arc, _segments = layout
-    n = len(tuples)
-    if index_map is None:
-        index_map = list(range(n))
-
-    # safe port parameter per crossing
-    all_segs = []
-    for a, ((c1, p1), (c2, p2)) in by_arc.items():
-        chain = [("c", c1), ("a", a, 0), ("a", a, 1), ("c", c2)]
-        pts = [positions[v] for v in chain]
-        for s, t in zip(pts, pts[1:]):
-            all_segs.append((s, t, a, ("c", c1), ("c", c2)))
-
-    def clearance2(ci):
-        P = positions[("c", ci)]
-        best = None
-        for s, t, a, e1, e2 in all_segs:
-            if e1 == ("c", ci) and s == P:
-                continue
-            if e2 == ("c", ci) and t == P:
-                continue
-            if s == P or t == P:
-                continue
-            d2 = dist2_point_segment(P, s, t)
-            if best is None or d2 < best:
-                best = d2
-        # also keep away from other crossing points
-        for cj in range(len(tuples)):
-            if cj == ci:
-                continue
-            Q = positions[("c", cj)]
-            d2 = (P[0] - Q[0]) ** 2 + (P[1] - Q[1]) ** 2
-            if best is None or d2 < best:
-                best = d2
-        return best if best is not None else Fraction(1)
-
-    ports = {}
-    connectors = {}
-    for ci, t in enumerate(tuples):
-        P = positions[("c", ci)]
-        cl2 = clearance2(ci)
-        # first incident segment points per position
-        dirs = []
-        for pos in range(4):
-            a = t[pos]
-            (cc1, pp1), (cc2, pp2) = by_arc[a]
-            if (cc1, pp1) == (ci, pos):
-                nxt = positions[("a", a, 0)]
-            else:
-                nxt = positions[("a", a, 1)]
-            dirs.append((nxt[0] - P[0], nxt[1] - P[1]))
-        tau = Fraction(1, 2)
-        while any(tau * tau * (dx * dx + dy * dy) * 64 > cl2 for dx, dy in dirs):
-            tau /= 2
-        pps = []
-        for pos in range(4):
-            dx, dy = dirs[pos]
-            pt = (P[0] + tau * dx, P[1] + tau * dy)
-            ports[(ci, pos)] = pt
-            pps.append(pt)
-        for smoothing, pairs in _SMOOTHING_PAIRS.items():
-            conns = []
-            for pa, pb in pairs:
-                path = _corner_path(P, pps, dirs, pa, pb, tau)
-                conns.append((pa, pb, path))
-            connectors[(ci, smoothing)] = tuple(conns)
-
-    arcs = {}
-    for a, ((c1, p1), (c2, p2)) in by_arc.items():
-        # orient: tail = where the arc leaves (outgoing), head = incoming
-        # incoming end: the crossing where a appears as position 0 (under in)
-        # or as the incoming over end; equivalently the end that is not the
-        # successor source.  The arc flows from its "out" crossing end to its
-        # "in" end: a leaves the crossing where it occupies an outgoing slot.
-        ends = [(c1, p1), (c2, p2)]
-        in_end = None
-        out_end = None
-        for (cc, pp) in ends:
-            tt = tuples[cc]
-            sign = signs[cc]
-            incoming = _is_incoming(pp, sign)
-            if incoming:
-                in_end = (cc, pp)
-            else:
-                out_end = (cc, pp)
-        if in_end is None or out_end is None:
-            raise OrientationConflict(f"arc {a} has inconsistent flow")
-        # keep the two interior nodes in traversal order
-        if by_arc[a][0] == out_end:
-            mids = [positions[("a", a, 0)], positions[("a", a, 1)]]
-        else:
-            mids = [positions[("a", a, 1)], positions[("a", a, 0)]]
-        path = [ports[out_end]] + mids + [ports[in_end]]
-        arcs[a] = Arc(a, comp_of[a],
-                      tail=(index_map[out_end[0]], out_end[1]),
-                      head=(index_map[in_end[0]], in_end[1]), path=path)
-
-    crossings = [Crossing(index_map[ci], signs[ci], tuple(t))
-                 for ci, t in enumerate(tuples)]
-    ports = {(index_map[ci], pos): p for (ci, pos), p in ports.items()}
-    connectors = {(index_map[ci], s): v for (ci, s), v in connectors.items()}
-    return OrientedDiagram(crossings, arcs, n_components, ports, connectors,
-                           braid=None)
-
-
-def _reattach_kink(d, ci, t, loop, keep, drop, sign, comp_of):
-    """Insert a nugatory crossing back onto its host arc as a small bubble.
-
-    t is the original crossing tuple; loop occupies two adjacent positions,
-    the through strand the other two (arc ids keep/drop, equal for a
-    standalone kinked unknot)."""
-    p = next(pp for pp in range(4) if t[pp] == t[(pp + 1) % 4])
-    pos_in = next(pp for pp in range(4)
-                  if t[pp] != loop and _is_incoming(pp, sign))
-    pos_out = next(pp for pp in range(4)
-                   if t[pp] != loop and not _is_incoming(pp, sign))
-    pos_l_in = next(pp for pp in (p, (p + 1) % 4) if _is_incoming(pp, sign))
-    pos_l_out = (p + 1) % 4 if pos_l_in == p else p
-
-    arcs = {aid: a for aid, a in d.arcs.items()}
-    ports = dict(d.ports)
-    connectors = dict(d.connectors)
-
-    if keep in arcs:
-        host = arcs[keep]
-        P, r2, iseg, dirv = _bubble_site(d, host)
-    else:
-        # standalone kinked unknot: place a fresh bubble right of everything
-        x0, y0, x1, y1 = d.bounding_box()
-        P = (x1 + Fraction(6), Fraction(0))
-        r2 = Fraction(1)
-        host = None
-        iseg = None
-        dirv = (Fraction(1), Fraction(0))
-
-    sigma = Fraction(1)
-    len2 = dirv[0] ** 2 + dirv[1] ** 2
-    while sigma * sigma * len2 * 64 > r2:
-        sigma /= 2
-    u = (sigma * dirv[0], sigma * dirv[1])
-    v = (-u[1], u[0])  # perpendicular, same magnitude
-
-    def at(cu, cv):
-        return (P[0] + cu * u[0] + cv * v[0], P[1] + cu * u[1] + cv * v[1])
-
-    # diagonal ports with the loop slots on the +v side; the bubble chirality
-    # is chosen so the upstream strand enters at the -u corner (sliding the
-    # kink loop to the other side of the strand gives the same oriented link)
-    s = -1 if pos_in == (p + 3) % 4 else 1
-    corner = {p: at(s, 1), (p + 1) % 4: at(-s, 1),
-              (p + 2) % 4: at(-s, -1), (p + 3) % 4: at(s, -1)}
-    for pos in range(4):
-        ports[(ci, pos)] = corner[pos]
-    side = {
-        frozenset((p, (p + 1) % 4)): [corner[p], corner[(p + 1) % 4]],
-        frozenset(((p + 1) % 4, (p + 2) % 4)): [corner[(p + 1) % 4], corner[(p + 2) % 4]],
-        frozenset(((p + 2) % 4, (p + 3) % 4)): [corner[(p + 2) % 4], corner[(p + 3) % 4]],
-        frozenset(((p + 3) % 4, p)): [corner[(p + 3) % 4], corner[p]],
-    }
-    for smoothing, pairs in _SMOOTHING_PAIRS.items():
-        conns = []
-        for pa, pb in pairs:
-            path = side[frozenset((pa, pb))]
-            if path[0] != ports[(ci, pa)]:
-                path = list(reversed(path))
-            conns.append((pa, pb, path))
-        connectors[(ci, smoothing)] = tuple(conns)
-
-    # the loop above the square: from its outgoing corner up and over
-    lo, li = corner[pos_l_out], corner[pos_l_in]
-    loop_path = [lo, (lo[0] + 2 * v[0], lo[1] + 2 * v[1]),
-                 (li[0] + 2 * v[0], li[1] + 2 * v[1]), li]
-    arcs[loop] = Arc(loop, comp_of[loop], tail=(ci, pos_l_out),
-                     head=(ci, pos_l_in), path=loop_path)
-
-    ein, eout = corner[pos_in], corner[pos_out]
-
-    def at2(cu, cv):
-        return (P[0] + Fraction(cu) * u[0] + Fraction(cv) * v[0],
-                P[1] + Fraction(cu) * u[1] + Fraction(cv) * v[1])
-
-    if host is not None:
-        # upstream enters at the -u corner, downstream leaves at +u
-        pre = host.path[: iseg + 1] + [at2(-2, 0), ein]
-        suf = [eout, at2(2, 0)] + host.path[iseg + 1:]
-        up_id, down_id = t[pos_in], t[pos_out]
-        if up_id == down_id:
-            raise LayoutError("degenerate kink host")
-        arcs.pop(keep)
-        arcs[up_id] = Arc(up_id, comp_of[up_id], tail=host.tail,
-                          head=(ci, pos_in), path=_dedup(pre))
-        arcs[down_id] = Arc(down_id, comp_of[down_id], tail=(ci, pos_out),
-                            head=host.head, path=_dedup(suf))
-    else:
-        # the through strand closes onto itself below the bubble
-        ring = [eout, at2(1, -2), at2(-1, -2), ein]
-        arcs[keep] = Arc(keep, comp_of[keep], tail=(ci, pos_out),
-                         head=(ci, pos_in), path=_dedup(ring))
-
-    crossings = [c for c in d.crossings if c.id != ci] + [Crossing(ci, sign, t)]
-    crossings.sort(key=lambda c: c.id)
-    # crossing tuples must reference the new arc ids on the host
-    slot_arc = {}
-    for a in arcs.values():
-        if a.tail is not None:
-            slot_arc[a.tail] = a.id
-        if a.head is not None:
-            slot_arc[a.head] = a.id
-    crossings = [Crossing(c.id, c.sign, tuple(slot_arc[(c.id, pp)] for pp in range(4)))
-                 for c in crossings]
-    return OrientedDiagram(crossings, arcs, d.n_components, ports, connectors,
-                           braid=None)
-
-
-def _dedup(path):
-    out = [path[0]]
-    for q in path[1:]:
-        if q != out[-1]:
-            out.append(q)
-    return out
-
-
-def _bubble_site(d, host):
-    """A point with clearance on the host arc: (P, clearance^2, segment
-    index, direction)."""
-    best = None
-    for i in range(len(host.path) - 1):
-        pp, qq = host.path[i], host.path[i + 1]
-        l2 = (qq[0] - pp[0]) ** 2 + (qq[1] - pp[1]) ** 2
-        if best is None or l2 > best[0]:
-            best = (l2, i, pp, qq)
-    _, iseg, pp, qq = best
-    M = ((pp[0] + qq[0]) / 2, (pp[1] + qq[1]) / 2)
-    clearance = None
-
-    def consider(path, skip_seg=None, skip_path=None):
-        nonlocal clearance
-        for i in range(len(path) - 1):
-            if skip_path is path and i == skip_seg:
-                continue
-            d2 = dist2_point_segment(M, path[i], path[i + 1])
-            if clearance is None or d2 < clearance:
-                clearance = d2
-
-    for a in d.arcs.values():
-        consider(a.path, skip_seg=iseg if a.id == host.id else None,
-                 skip_path=a.path if a.id == host.id else None)
-    for conns in d.connectors.values():
-        for _pa, _pb, path in conns:
-            consider(path)
-    if clearance is None or clearance == 0:
-        clearance = Fraction(1)
-    r2 = min(clearance / 4, best[0] / 16)
-    dirv = (qq[0] - pp[0], qq[1] - pp[1])
-    return M, r2, iseg, dirv
-
-
-def _validate_diagram_geometry(arcs, connectors) -> None:
-    """Exact non-crossing check of all arcs and smoothing connectors."""
-    segs = []
-    for a in arcs.values():
-        for i in range(len(a.path) - 1):
-            segs.append((a.path[i], a.path[i + 1], ("arc", a.id)))
-    for (cid, s), conns in connectors.items():
-        for pa, pb, path in conns:
-            for i in range(len(path) - 1):
-                segs.append((path[i], path[i + 1], ("conn", cid, s)))
-    for i in range(len(segs)):
-        s1, t1, tag1 = segs[i]
-        for j in range(i + 1, len(segs)):
-            s2, t2, tag2 = segs[j]
-            if {s1, t1} & {s2, t2}:
-                continue
-            if tag1[0] == "conn" and tag2[0] == "conn" and tag1[1] == tag2[1] \
-                    and tag1[2] != tag2[2]:
-                continue  # opposite smoothings of one crossing may cross
-            if segments_intersect(s1, t1, s2, t2):
-                raise LayoutError(
-                    f"layout pieces {tag1} and {tag2} intersect; the diagram "
-                    "could not be realized honestly")
-
-
-def _cross(u, v):
-    return u[0] * v[1] - u[1] * v[0]
-
-
-def _dot(u, v):
-    return u[0] * v[0] + u[1] * v[1]
-
-
-def _ccw_key(a, v):
-    """Sortable position of direction v on the counterclockwise sweep
-    starting just after direction a.  Exact; v must not be parallel to a
-    with the same sign."""
-    c = _cross(a, v)
-    if c > 0:
-        half = 0
-    elif c == 0:
-        half = 1  # exactly opposite
-    else:
-        half = 2
-    return (half, v)
-
-
-def _ccw_before(a, u, v):
-    """Is u strictly before v on the counterclockwise sweep from a?"""
-    ku, kv = _ccw_key(a, u), _ccw_key(a, v)
-    if ku[0] != kv[0]:
-        return ku[0] < kv[0]
-    return _cross(u, v) > 0
-
-
-def _corner_path(P, ports, dirs, i, j, tau):
-    """A polyline from port i to port j through the empty wedge between the
-    rays of positions i and j, staying within the safe ball around P."""
-    di, dj = dirs[i], dirs[j]
-    others = [dirs[k] for k in range(4) if k not in (i, j)]
-
-    def anchors(ccw: bool):
-        rot = (lambda v: (-v[1], v[0])) if ccw else (lambda v: (v[1], -v[0]))
-        cands = []
-        w = di
-        for _ in range(3):
-            w = rot(w)
-            cands.append(w)
-        # keep anchors strictly before dj on this sweep, none past any
-        # other ray (the wedge must be empty)
-        before = _ccw_before if ccw else (lambda a, u, v: _ccw_before(a, v, u))
-        for o in others:
-            if before(di, o, dj) or o == dj:
-                return None
-        out = []
-        for w in cands:
-            if before(di, w, dj):
-                out.append(w)
-        return out
-
-    ws = anchors(True)
-    if ws is None:
-        ws = anchors(False)
-    if ws is None:
-        raise LayoutError("crossing rays are not cyclically separated")
-    path = [ports[i]]
-    for w in ws:
-        q = (P[0] + tau * w[0] / 2, P[1] + tau * w[1] / 2)
-        path.append(q)
-    path.append(ports[j])
-    # drop accidental duplicates
-    dedup = [path[0]]
-    for q in path[1:]:
-        if q != dedup[-1]:
-            dedup.append(q)
-    return dedup
-
-
-def _is_incoming(pos, sign):
-    if pos == 0:
-        return True
-    if pos == 2:
-        return False
-    # over strand: incoming at 3 for positive, at 1 for negative
-    return (pos == 3) == (sign > 0)
 
 
 def _parse_orient(suffix, n_components):

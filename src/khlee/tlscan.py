@@ -1078,7 +1078,7 @@ def scan_levels(dd: OrientedDiagram, chain, limit=None, want_module=True):
     from .lee import _reduced_levels_from_tracked
 
     closure = scan_word(dd, limit=limit, track_lee=True)
-    res = dd.resolve(dd.oriented_choice(), geometry=True)
+    res = dd.resolve(dd.oriented_choice())
     slot2sign = {}
     for circ, sgn in zip(res.circles, chain.circle_signs):
         for slot in circ.slots:

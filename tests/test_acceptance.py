@@ -1,7 +1,7 @@
 """Acceptance criteria, one test per criterion, exact values throughout.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-pass/fail lines; scripts/run_acceptance.py wraps exactly that.
+pass/fail lines.
 """
 
 import time
@@ -90,7 +90,7 @@ def test_criterion_4_fpq_regression():
                 continue
             for k in (1, 2):
                 if p + q == 0:
-                    got = s_invariant(OrientedDiagram([], {}, 0, {}, {}),
+                    got = s_invariant(OrientedDiagram([], {}, 0),
                                       with_module=False).s
                 else:
                     d = insert_twists(builtin_ssr(f"F_{p},{q}"), (k,))

@@ -48,7 +48,7 @@ def test_gradings():
     gid = c.gen(orc, 0)
     assert c.complex.gen_h[gid] == 0
     # generator q-degrees: sum of labels + |r| + n+ - 2n-
-    res = d.resolve(orc, geometry=False)
+    res = d.resolve(orc)
     k = len(res.circles)
     expected_q = k + sum(orc) + d.n_plus - 2 * d.n_minus  # all labels "1"
     assert c.complex.gen_q[gid] == expected_q

@@ -82,12 +82,10 @@ def test_resolutions_of_hopf():
     hopf = closure(2, (1, 1))
     r00 = hopf.resolve((0, 0))
     assert len(r00.circles) == 2
-    # the canonical closure layout nests the Seifert circles
-    assert sorted(c.depth for c in r00.circles) == [0, 1]
-    assert all(c.ccw is not None for c in r00.circles)
+    # the two Seifert circles meet at both crossings
+    assert sorted(hopf.seifert_signs(r00)) == [-1, 1]
     r11 = hopf.resolve((1, 1))
     assert len(r11.circles) == 2
-    assert r11.circles[0].ccw is None  # not the oriented resolution
     r01 = hopf.resolve((0, 1))
     assert len(r01.circles) == 1
 
@@ -97,7 +95,7 @@ def test_seifert_equals_oriented_circles():
                                (2, (1, 1), (True, False)),
                                (3, (-1, 2, ("e", 1)), (True, False, True))]:
         d = closure(n, letters, orient)
-        res = d.resolve(d.oriented_choice(), geometry=False)
+        res = d.resolve(d.oriented_choice())
         assert len(res.circles) == d.seifert_count()
 
 
@@ -147,30 +145,40 @@ def test_arc_incidence_invariant():
                 assert seen[a.id] == 2
 
 
-def test_nesting_partial_order():
-    d = closure(3, (1, 2, 1, 2))
-    from khlee.geometry import lex_smallest_segment_midpoint, point_in_polygon
-    for choice_bits in range(2 ** d.n_crossings):
-        choice = tuple((choice_bits >> i) & 1 for i in range(d.n_crossings))
-        res = d.resolve(choice)
-        circles = res.circles
-        inside = {}
-        for i, ci in enumerate(circles):
-            for j, cj in enumerate(circles):
-                if i == j:
-                    continue
-                p = lex_smallest_segment_midpoint(ci.path)
-                inside[(i, j)] = point_in_polygon(p, cj.path)
-        for i in range(len(circles)):
-            for j in range(len(circles)):
-                if i == j:
-                    continue
-                assert not (inside[(i, j)] and inside[(j, i)])  # antisymmetric
-                for k in range(len(circles)):
-                    if k in (i, j):
-                        continue
-                    if inside[(i, j)] and inside[(j, k)]:
-                        assert inside[(i, k)]  # transitive
-        for i, c in enumerate(circles):
-            assert c.depth == sum(1 for j in range(len(circles))
-                                  if j != i and inside[(i, j)])
+def _assert_checkerboard_signs(d):
+    colour = d.face_colours()
+    for a in d.arcs.values():
+        if not a.closed:
+            assert colour[(a.id, True)] != colour[(a.id, False)]
+    res = d.resolve(d.oriented_choice())
+    signs = d.seifert_signs(res)
+    circle_of = {a: j for j, c in enumerate(res.circles) for a in c.arcs}
+    for c in d.crossings:
+        # the incoming under and over strands lie on the two circles there
+        under = circle_of[c.ends[0]]
+        over = circle_of[c.ends[3 if c.sign > 0 else 1]]
+        assert under != over
+        assert signs[under] == -signs[over]
+    for j, circ in enumerate(res.circles):
+        if d.arcs[min(circ.arcs)].closed:
+            assert signs[j] == 1
+
+
+def test_seifert_signs_checkerboard():
+    from khlee.corpus import small_corpus
+    from khlee.pdcode import parse_pd
+
+    diagrams = [d for _, d in small_corpus()]  # U2, U3, kinks, Wh+D0, ...
+    diagrams += [parse_pd(code) for code in (
+        "PD[X(4,2,5,1), X(8,6,1,5), X(6,3,7,4), X(2,7,3,8)]",
+        "PD[X(1,2,2,1)]", "PD[X(2,1,1,2)]", "PD[X(1,1,2,2)]",
+        "PD[X(1,3,2,4), X(3,1,4,2), X(5,7,6,8), X(7,5,8,6)]",
+        "PD[X(1,3,2,4), X(3,1,4,2)]; orient: comp2=-")]
+    t, hopf = closure(2, (1, 1, 1)), closure(2, (1, 1))
+    diagrams += [dg.connect_sum(t, 0, t, 0), dg.connect_sum(hopf, 0, hopf, 1),
+                 dg.connect_sum(closure(2, ()), 1, t.mirror(), 0),
+                 dg.disjoint_union(dg.connect_sum(t, 0, t, 0), hopf)]
+    for d in list(diagrams):
+        diagrams += [d.mirror()] + ([d.reorient({0})] if d.n_components else [])
+    for d in diagrams:
+        _assert_checkerboard_signs(d)

@@ -112,3 +112,31 @@ def test_mirror_and_reverse_symmetries():
         sr = s_invariant(d.reverse(), engine="brute", with_module=False,
                          _compute_plus=False).s
         assert sr == s
+
+
+# (s, s_min, s_max, s_minus, s_plus) of the named small_corpus() diagrams,
+# recorded before the Lee signs came from the checkerboard colouring
+GOLDEN = {
+    "unknot": (0, -1, 1, 0, 0), "unknot-kink+": (0, -1, 1, 0, 0),
+    "unknot-kink-": (0, -1, 1, 0, 0), "U2": (-1, -2, 0, -1, 1),
+    "U3": (-2, -3, -1, -2, 2), "hopf+": (1, 0, 2, 1, 1),
+    "hopf-": (-1, -2, 0, -1, -1), "trefoil+": (2, 1, 3, 2, 2),
+    "trefoil-": (-2, -3, -1, -2, -2), "figure8": (0, -1, 1, 0, 0),
+    "5_1": (4, 3, 5, 4, 4), "5_2": (1, 0, 2, 1, 1), "6_1": (0, -1, 1, 0, 0),
+    "6_2": (2, 1, 3, 2, 2), "6_3": (0, -1, 1, 0, 0), "T(2,4)": (3, 2, 4, 3, 3),
+    "T(2,6)": (5, 4, 6, 5, 5), "T(3,3)": (4, 3, 5, 4, 4),
+    "T(3,4)": (6, 5, 7, 6, 6), "T(2,-4)": (-3, -4, -2, -3, -3),
+    "F_1(1)": (-1, -2, 0, -1, -1), "F_1(2)": (-1, -2, 0, -1, -1),
+    "Wh+D0": (0, -1, 1, 0, 0), "Wh+D1": (0, -1, 1, 0, 0),
+    "Wh+D-1": (2, 1, 3, 2, 2), "granny-braid": (4, 3, 5, 4, 4),
+    "square-braid": (0, -1, 1, 0, 0),
+}
+
+
+def test_small_corpus_golden_values():
+    from khlee.corpus import small_corpus
+
+    named = dict(small_corpus())
+    for name, want in GOLDEN.items():
+        rep = s_invariant(named[name], with_module=False)
+        assert (rep.s, rep.s_min, rep.s_max, rep.s_minus, rep.s_plus) == want, name

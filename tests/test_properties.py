@@ -46,7 +46,7 @@ def test_diagram_invariants(word):
             counts[aid] = counts.get(aid, 0) + 1
     assert all(v == 2 for v in counts.values())
     assert d.writhe == d.n_plus - d.n_minus
-    res = d.resolve(d.oriented_choice(), geometry=False)
+    res = d.resolve(d.oriented_choice())
     assert len(res.circles) == d.seifert_count()
     if d.n_components:
         assert len(res.circles) >= 1
@@ -89,4 +89,4 @@ def test_lee_generator_is_cycle(word):
     d = from_braid(word)
     if d.n_components == 0:
         return
-    lee_generator(d)  # NotACycle on any nesting/orientation bug
+    lee_generator(d)  # NotACycle on any circle-sign bug

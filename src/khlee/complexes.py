@@ -57,16 +57,6 @@ class GradedComplex:
         self.out[src][tgt] = (c, texp)
         self.inc[tgt][src] = (c, texp)
 
-    def remove_gen(self, gid: int) -> None:
-        for tgt in list(self.out[gid]):
-            del self.inc[tgt][gid]
-        for src in list(self.inc[gid]):
-            del self.out[src][gid]
-        del self.out[gid]
-        del self.inc[gid]
-        del self.gen_h[gid]
-        del self.gen_q[gid]
-
     # -- views ------------------------------------------------------------------
 
     @property
@@ -88,15 +78,6 @@ class GradedComplex:
     def entry(self, src: int, tgt: int):
         return self.out[src].get(tgt)
 
-    def copy(self) -> "GradedComplex":
-        c = GradedComplex()
-        c.gen_h = dict(self.gen_h)
-        c.gen_q = dict(self.gen_q)
-        c.out = {g: dict(m) for g, m in self.out.items()}
-        c.inc = {g: dict(m) for g, m in self.inc.items()}
-        c._next = self._next
-        return c
-
     # -- checks -------------------------------------------------------------------
 
     def check_d_squared(self) -> None:
@@ -116,19 +97,24 @@ class GradedComplex:
         """Homology dimensions over Q after substituting t := value.
 
         Returns {h: dim};  for value == 0 use dims_at_t0 for the (h, q) split.
+        The unit eliminations of ``scan_reduce`` are chain-homotopy
+        equivalences over Q[t], so they survive t := value, and only the
+        small leftover needs ranks.
         """
         from .linalg import rank_of_columns
+        from .reduction import scan_reduce
 
+        red = scan_reduce(self)
         v = Fraction(value)
-        hmin, hmax = self.h_range()
-        gens_by_h = {h: self.gens_at(h) for h in range(hmin, hmax + 1)}
+        hmin, hmax = red.h_range()
+        gens_by_h = {h: red.gens_at(h) for h in range(hmin, hmax + 1)}
         ranks = {}
         for h in range(hmin, hmax + 1):
             idx = {g: i for i, g in enumerate(gens_by_h.get(h + 1, []))}
             cols = []
             for src in gens_by_h.get(h, []):
                 col = {}
-                for tgt, (c, e) in self.out[src].items():
+                for tgt, (c, e) in red.out[src].items():
                     cv = c * v**e
                     if cv:
                         col[idx[tgt]] = cv
@@ -143,30 +129,26 @@ class GradedComplex:
         return dims
 
     def dims_at_t0(self) -> dict:
-        """Khovanov specialization: {(h, q): dim} over Q at t = 0."""
-        from .linalg import rank_of_columns
+        """Khovanov specialization: {(h, q): dim} over Q at t = 0.
 
-        blocks = {}
-        for g, h in self.gen_h.items():
-            blocks.setdefault((h, self.gen_q[g]), []).append(g)
-        ranks = {}
-        for (h, q), srcs in sorted(blocks.items()):
-            tgt_list = blocks.get((h + 1, q), [])
-            idx = {g: i for i, g in enumerate(sorted(tgt_list))}
-            cols = []
-            for src in sorted(srcs):
-                col = {}
-                for tgt, (c, e) in self.out[src].items():
-                    if e == 0:
-                        col[idx[tgt]] = c
-                if col:
-                    cols.append(col)
-            ranks[(h, q)] = rank_of_columns(cols)
+        The t^0 part of the differential is the Khovanov complex, and it
+        keeps q, so each q is reduced on its own.  Once ``scan_reduce`` has
+        eliminated every entry of it, the differential is zero, so the
+        dimensions are the surviving generator counts.
+        """
+        from .reduction import scan_reduce
+
+        by_q = {}
+        for g, q in self.gen_q.items():
+            by_q.setdefault(q, []).append(g)
         dims = {}
-        for (h, q), gens in blocks.items():
-            d = len(gens) - ranks.get((h, q), 0) - ranks.get((h - 1, q), 0)
-            if d:
-                dims[(h, q)] = d
+        for q, gens in by_q.items():
+            t0 = GradedComplex()  # scan_reduce reads no incoming entries
+            t0.gen_h = {g: self.gen_h[g] for g in gens}
+            t0.gen_q = dict.fromkeys(gens, q)
+            t0.out = {g: {t: ce for t, ce in self.out[g].items() if ce[1] == 0} for g in gens}
+            for h in scan_reduce(t0).gen_h.values():
+                dims[(h, q)] = dims.get((h, q), 0) + 1
         return dims
 
     # -- text export (External Interfaces) -----------------------------------------

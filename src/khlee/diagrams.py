@@ -167,12 +167,6 @@ class OrientedDiagram:
     def arc_at(self, cid: int, pos: int) -> int:
         return self._arc_at[(cid, pos)]
 
-    def components_of_arcs(self):
-        comp = {}
-        for a in self.arcs.values():
-            comp[a.id] = a.component
-        return comp
-
     # -- resolutions ----------------------------------------------------------
 
     def oriented_choice(self) -> tuple:

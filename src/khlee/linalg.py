@@ -5,30 +5,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def rank_of_columns(cols) -> int:
-    """Rank of the column collection, by leading-index echelonization."""
-    lead = {}  # leading row index -> reduced column
-    rank = 0
-    for col in cols:
-        col = dict(col)
-        while col:
-            i = min(col)
-            if i in lead:
-                piv = lead[i]
-                f = col[i] / piv[i]
-                for r, v in piv.items():
-                    nv = col.get(r, Fraction(0)) - f * v
-                    if nv:
-                        col[r] = nv
-                    else:
-                        col.pop(r, None)
-            else:
-                lead[i] = col
-                rank += 1
-                break
-    return rank
-
-
 class ColumnSpace:
     """Incremental echelon basis of a column span, supporting reduction of
     query vectors from the lowest row index upward."""
@@ -77,3 +53,8 @@ class ColumnSpace:
                 else:
                     vec.pop(r, None)
         return vec
+
+
+def rank_of_columns(cols) -> int:
+    """Rank of the column collection, by leading-index echelonization."""
+    return len(ColumnSpace(cols).lead)

@@ -18,6 +18,7 @@ at t=1 the tracked image keeps the filtration level of the class.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from fractions import Fraction
 
@@ -30,19 +31,18 @@ from .reduction import scan_reduce
 # ---------------------------------------------------------------------------
 # curve systems of cobordisms between objects (match, ncirc)
 
-_cycles_cache: dict = {}
+# One scan of T(5,5) asks for ~1,900 distinct curve systems; the bound keeps
+# a process that runs many scans from growing the cache without limit.
+MATCH_CYCLES_CACHE = 4096
 
 
+@functools.lru_cache(maxsize=MATCH_CYCLES_CACHE)
 def match_cycles(m1: tuple, nc1: int, m2: tuple, nc2: int):
     """Boundary curves of a cobordism (m1, nc1) -> (m2, nc2): cycles of the
     glued matching graph plus source/target circles.
 
     Returns (ids, point2cyc); ids are ("b", min point), ("s", i), ("t", j).
     """
-    key = (m1, nc1, m2, nc2)
-    hit = _cycles_cache.get(key)
-    if hit is not None:
-        return hit
     seen = set()
     ids = []
     point2cyc = {}
@@ -65,9 +65,7 @@ def match_cycles(m1: tuple, nc1: int, m2: tuple, nc2: int):
     ids.sort(key=lambda c: c[1])
     ids.extend(("s", i) for i in range(nc1))
     ids.extend(("t", j) for j in range(nc2))
-    result = (tuple(ids), point2cyc)
-    _cycles_cache[key] = result
-    return result
+    return tuple(ids), point2cyc
 
 
 def identity_morphism(obj):

@@ -9,6 +9,8 @@ from khlee.errors import OrientationConflict
 from khlee.lee import lee_generator
 from khlee.smith import homology_qt
 
+from rank_oracle import dims_t0_by_rank, dims_t_by_rank
+
 
 def _closure(word):
     """Turnback letters constrain the flags; skip inconsistent draws."""
@@ -79,8 +81,8 @@ def test_cube_and_module(word):
     cube.complex.check_d_squared()
     hs = homology_qt(cube.complex)
     assert hs.free_rank() == 2 ** d.n_components
-    assert hs.dims_t0() == cube.complex.dims_at_t0()
-    assert hs.dims_t1() == cube.complex.dims_at_t(1)
+    assert hs.dims_t0() == cube.complex.dims_at_t0() == dims_t0_by_rank(cube.complex)
+    assert hs.dims_t1() == cube.complex.dims_at_t(1) == dims_t_by_rank(cube.complex, 1)
 
 
 @settings(max_examples=15, deadline=None)

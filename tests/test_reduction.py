@@ -1,10 +1,18 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from khlee import qt
+from khlee.complexes import GradedComplex
+from khlee.corpus import random_braids, small_corpus
 from khlee.cube import build_cube
 from khlee.diagrams import BraidWord, from_braid
+from khlee.errors import KhleeError
 from khlee.reduction import scan_reduce
+from khlee.tlscan import scan_complex
+
+from rank_oracle import dims_t0_by_rank, dims_t_by_rank
 
 
 def test_zero_differential_unchanged():
@@ -17,8 +25,8 @@ def test_hopf_reduction():
     c = build_cube(from_braid(BraidWord(2, (1, 1)))).complex
     red = scan_reduce(c)
     assert red.n_gens <= 8
-    assert red.dims_at_t0() == c.dims_at_t0()
-    assert red.dims_at_t(1) == c.dims_at_t(1)
+    assert red.dims_at_t0() == dims_t0_by_rank(c)
+    assert red.dims_at_t(1) == dims_t_by_rank(c, 1)
 
 
 def test_no_unit_entries_left_and_equivalence():
@@ -36,8 +44,8 @@ def test_no_unit_entries_left_and_equivalence():
         for src, row in red.out.items():
             for tgt, (coeff, e) in row.items():
                 assert e >= 1, "an invertible entry survived the reduction"
-        assert red.dims_at_t0() == c.dims_at_t0()
-        assert red.dims_at_t(1) == c.dims_at_t(1)
+        assert red.dims_at_t0() == dims_t0_by_rank(c)
+        assert red.dims_at_t(1) == dims_t_by_rank(c, 1)
 
 
 def test_tracked_vector_retraction_preserves_class():
@@ -58,3 +66,72 @@ def test_tracked_vector_retraction_preserves_class():
         red, (vo, vbar) = scan_reduce(cube.complex, tracked=[vo, vbar])
         reduced = _reduced_levels_from_tracked(red, vo, vbar)
         assert brute == reduced
+
+
+def test_dims_match_rank_oracle():
+    # the dimensions read off the reduced complex against ranks over the
+    # full cube, on the named corpus and on seeded random braids
+    named = [d for _, d in small_corpus()]
+    named += [from_braid(w) for w in random_braids(count=12, seed=7, max_letters=6)]
+    for d in named:
+        c = build_cube(d).complex
+        assert c.dims_at_t0() == dims_t0_by_rank(c)
+        assert c.dims_at_t(1) == dims_t_by_rank(c, 1)
+
+
+def _plain(cx, src, tgt, coeff, texp):
+    """Set an entry straight into the dictionaries, past add_entry."""
+    cx.out[src][tgt] = cx.inc[tgt][src] = (Fraction(coeff), texp)
+
+
+def test_inhomogeneous_entry_raises():
+    c = build_cube(from_braid(BraidWord(2, (1, 1, 1)))).complex
+    src = c.gens_at(0)[0]
+    tgt = next(g for g in c.gens_at(1) if c.gen_q[g] != c.gen_q[src])
+    _plain(c, src, tgt, 1, 0)
+    with pytest.raises(KhleeError, match="inhomogeneous"):
+        scan_reduce(c)
+    with pytest.raises(KhleeError, match="inhomogeneous"):
+        c.dims_at_t0()  # the entry leaves its q slice
+    cx = GradedComplex()
+    a, b = cx.add_gen(0, 0), cx.add_gen(2, 0)
+    _plain(cx, a, b, 1, 0)  # raises h by two
+    with pytest.raises(KhleeError, match="inhomogeneous"):
+        scan_reduce(cx)
+
+
+def test_non_dividing_pivot_stays_exact():
+    # d(b) = 2 c0 + t f and d(e) = t c0: the only unit pivot is 2, and the
+    # fill-in e -> f is -1/2 t^2
+    cx = GradedComplex()
+    b, c0, f, e = cx.add_gen(0, 0), cx.add_gen(1, 0), cx.add_gen(1, 4), cx.add_gen(0, -4)
+    cx.add_entry(b, c0, 2, 0)
+    cx.add_entry(b, f, 1, 1)
+    cx.add_entry(e, c0, 1, 1)
+    red, (v,) = scan_reduce(cx, tracked=[{c0: qt.mono(1)}])
+    assert red.gens() == [f, e]
+    assert red.out[e] == {f: (Fraction(-1, 2), 2)}
+    assert type(red.out[e][f][0]) is Fraction
+    assert v == {f: {1: Fraction(-1, 2)}}
+    assert type(v[f][1]) is Fraction
+    assert cx.n_gens == 4  # the input is left alone
+
+
+def test_reduced_coefficients_are_fractions():
+    # no int or float may reach the Smith form, where int / int is a float
+    from khlee.lee import lee_generator, lee_vector_in_cube
+
+    for _name, d in small_corpus():
+        cube = build_cube(d)
+        tracked = []
+        if d.n_components:
+            chain = lee_generator(d)
+            tracked = [{g: qt.mono(c) for g, c in lee_vector_in_cube(ch, cube).items()}
+                       for ch in (chain, chain.conjugate())]
+        red, vectors = scan_reduce(cube.complex, tracked=tracked)
+        for v in vectors:
+            assert all(type(c) is Fraction for poly in v.values() for c in poly.values())
+        reduced = [red] if d.braid is None else [red, scan_complex(d)]
+        for cx in reduced:
+            for row in list(cx.out.values()) + list(cx.inc.values()):
+                assert all(type(c) is Fraction for c, _e in row.values())

@@ -102,3 +102,15 @@ def test_whitehead_doubles():
     assert vals[((1, 1, 1), 2)] == 2  # the s != 2*tau example
     assert vals[((1, 1, 1), 3)] == 0
     assert vals[((-1, -1, -1), 0)] == 0  # doubles of negative knots
+
+
+def test_match_cycles_cache_holds_one_scan():
+    # one scan of T(5,5) fits the bounded cache without evicting an entry
+    from khlee.tlscan import MATCH_CYCLES_CACHE, match_cycles
+
+    match_cycles.cache_clear()
+    d = from_braid(BraidWord(5, torus_word(5, 5)))
+    assert s_invariant(d, engine="scan", with_module=False, _compute_plus=False).s == 16
+    info = match_cycles.cache_info()
+    assert info.maxsize == MATCH_CYCLES_CACHE
+    assert info.currsize == info.misses <= MATCH_CYCLES_CACHE

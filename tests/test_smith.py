@@ -2,6 +2,8 @@ from khlee.cube import build_cube
 from khlee.diagrams import BraidWord, from_braid
 from khlee.smith import homology_qt
 
+from rank_oracle import dims_t0_by_rank, dims_t_by_rank
+
 
 def module_of(n, letters, orient=()):
     return homology_qt(build_cube(from_braid(BraidWord(n, letters, orient))).complex)
@@ -48,5 +50,5 @@ def test_module_consistent_with_specializations():
                        (2, (1, 1, 1, 1))]:
         c = build_cube(from_braid(BraidWord(n, letters))).complex
         hs = homology_qt(c)
-        assert hs.dims_t0() == c.dims_at_t0()
-        assert hs.dims_t1() == c.dims_at_t(1)
+        assert hs.dims_t0() == c.dims_at_t0() == dims_t0_by_rank(c)
+        assert hs.dims_t1() == c.dims_at_t(1) == dims_t_by_rank(c, 1)

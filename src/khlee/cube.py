@@ -82,7 +82,9 @@ def build_cube(d: OrientedDiagram, limit=None, h_window=None) -> CubeComplex:
         total += 1 << len(circles)
         if total > limit:
             raise ResourceLimit(
-                f"cube would need more than {limit} generators (KHLEE_LIMIT)")
+                f"cube reached {total} generators after {len(circle_arcs)} of "
+                f"{len(choices)} resolutions, over the generator limit of {limit} "
+                f"(--limit or KHLEE_LIMIT)")
 
     cx = GradedComplex()
     gen_of = {}

@@ -118,4 +118,9 @@ def scan_reduce(cx: GradedComplex, tracked=None):
     for src, row in out.items():
         for tgt, (c, e) in row.items():
             red.add_entry(src, tgt, c, e)
-    return (red, vectors) if tracked is not None else red
+    if tracked is None:
+        return red
+    # tracked vectors may arrive with int coefficients (the scan engine's)
+    vectors = [{g: {e: Fraction(c) for e, c in p.items()} for g, p in v.items()}
+               for v in vectors]
+    return red, vectors

@@ -20,13 +20,17 @@ from __future__ import annotations
 
 import functools
 import heapq
-from fractions import Fraction
 
 from . import qt
 from .complexes import GradedComplex
 from .diagrams import OrientedDiagram
 from .errors import KhleeError, ResourceLimit
-from .reduction import scan_reduce
+from .reduction import _exact, _quotient, scan_reduce
+
+# Morphism coefficients are Q[t] dicts like ``qt``'s, but kept as Python ints
+# wherever they are integral; only ``_eliminate`` can divide by a non-unit.
+# ``GradedComplex.add_entry`` and ``scan_reduce`` hand out Fractions again.
+_ONE = {0: 1}
 
 # ---------------------------------------------------------------------------
 # curve systems of cobordisms between objects (match, ncirc)
@@ -74,104 +78,98 @@ def identity_morphism(obj):
     blocks = [frozenset((cid,)) for cid in ids if cid[0] == "b"]
     for i in range(ncirc):
         blocks.append(frozenset((("s", i), ("t", i))))
-    return {(frozenset(blocks), frozenset()): qt.ONE}
+    return {(frozenset(blocks), frozenset()): _ONE}
 
 
-def _block_lookup(partition):
-    lookup = {}
-    for block in partition:
-        for cid in block:
-            lookup[cid] = block
-    return lookup
+# Gluings and stackings are pure functions of their combinatorial arguments,
+# so they are memoized; both caches are cleared when a scan starts
+# (``clear_scan_caches``).  Memory sets the bounds: a glue entry holds a fresh
+# basis of frozensets (~1.5 kB).  On the scan-braids benchmark, 512 entries
+# keep the peak memory at the unmemoized level and get 50% hits (72% is the
+# unbounded rate, at +15 MB); 256 stackings already give every possible hit.
+GLUE_CACHE = 512
+VCOMP_CACHE = 256
 
 
-class _UF:
-    __slots__ = ("parent",)
+def _evaluate_surface(chi, dots, joins, attach):
+    """Glue surface pieces and read the result off as a basis cobordism.
 
-    def __init__(self):
-        self.parent = {}
+    Piece i has Euler characteristic chi[i] and dots[i] dots (both lists are
+    consumed); joins: (piece, piece, chi cost) seams, 1 for an arc and 0 for
+    a circle; attach: (piece, boundary cycle id) for each boundary curve of
+    the result.  A handle is two dots with a factor 2, two dots are t, and a
+    closed component evaluates to t^((d-1)/2) with d odd and to 0 with d
+    even.  Returns (coeff, t-exponent, (partition, dotted)), or None.
+    """
+    parent = list(range(len(chi)))
 
-    def find(self, x):
-        p = self.parent
-        while p.setdefault(x, x) != x:
-            p[x] = p[p[x]]
-            x = p[x]
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
         return x
 
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[rx] = ry
-        return self.find(x)
-
-
-def _glue_pair(pf, df, pg, dg, seams, result_members):
-    """Glue two basis cobordisms along seams.
-
-    seams: (f cycle id, g cycle id, chi cost); result_members: (result cycle
-    id, "F"/"G", side cycle id).  Returns (coeff Qt, partition, dotted) or
-    None when a closed component dies.
-    """
-    lookF = _block_lookup(pf)
-    lookG = _block_lookup(pg)
-    uf = _UF()
-    chi = {}
-    dots = {}
-    for block in pf:
-        node = ("F", block)
-        uf.find(node)
-        chi[node] = 2 - len(block)
-        dots[node] = 1 if block in df else 0
-    for block in pg:
-        node = ("G", block)
-        uf.find(node)
-        chi[node] = 2 - len(block)
-        dots[node] = 1 if block in dg else 0
-
-    def merge(a, b, cost):
-        ra, rb = uf.find(a), uf.find(b)
-        if ra == rb:
-            chi[ra] -= cost
-            return
-        r = uf.union(ra, rb)
-        o = ra if r == rb else rb
-        chi[r] = chi[r] + chi[o] - cost
-        dots[r] = dots[r] + dots[o]
-        del chi[o], dots[o]
-
-    for fcid, gcid, cost in seams:
-        merge(("F", lookF[fcid]), ("G", lookG[gcid]), cost)
-
+    for i, j, cost in joins:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+            chi[rj] += chi[ri]
+            dots[rj] += dots[ri]
+        chi[rj] -= cost
     members = {}
-    for rcid, side, scid in result_members:
-        blk = lookF[scid] if side == "F" else lookG[scid]
-        members.setdefault(uf.find((side, blk)), []).append(rcid)
+    for piece, cid in attach:
+        members.setdefault(find(piece), []).append(cid)
 
-    coeff = qt.ONE
+    coeff = 1
+    texp = 0
     blocks = []
     dotted = []
-    for root in list(chi.keys()):
-        if uf.find(root) != root:
+    for root, c in enumerate(chi):
+        if parent[root] != root:
             continue
-        b = len(members.get(root, ()))
-        genus2 = 2 - chi[root] - b
+        boundary = members.get(root, ())
+        genus2 = 2 - c - len(boundary)
         if genus2 % 2 or genus2 < 0:
             raise KhleeError("impossible genus in cobordism gluing")
         g = genus2 // 2
         d = dots[root] + g
-        if g:
-            coeff = qt.scale(coeff, 2**g)
-        if b == 0:
+        coeff <<= g
+        if not boundary:
             if d % 2 == 0:
                 return None  # sphere with an even number of dots
-            coeff = qt.shift(coeff, (d - 1) // 2)
+            texp += (d - 1) // 2
             continue
-        coeff = qt.shift(coeff, d // 2)
-        block = frozenset(members[root])
+        texp += d // 2
+        block = frozenset(boundary)
         blocks.append(block)
         if d % 2:
             dotted.append(block)
-    return coeff, frozenset(blocks), frozenset(dotted)
+    return coeff, texp, (frozenset(blocks), frozenset(dotted))
+
+
+def clear_scan_caches():
+    """Empty the per-scan memos of ``_glue_pair`` and ``vcomp``."""
+    _glue_pair.cache_clear()
+    vcomp.cache_clear()
+
+
+@functools.lru_cache(maxsize=GLUE_CACHE)
+def _glue_pair(pf, df, pg, dg, seams, result_members):
+    """Glue two basis cobordisms along seams.
+
+    seams: tuple of (f cycle id, g cycle id, chi cost); result_members: tuple
+    of (result cycle id, "F"/"G", side cycle id).  Returns (coeff, t-exponent,
+    (partition, dotted)), the glued basis times coeff * t^exponent, or None
+    when a closed component dies.
+    """
+    nf = len(pf)
+    lookF = {cid: i for i, block in enumerate(pf) for cid in block}
+    lookG = {cid: nf + j for j, block in enumerate(pg) for cid in block}
+    chi = [2 - len(block) for block in pf] + [2 - len(block) for block in pg]
+    dots = [1 if block in df else 0 for block in pf] + [1 if block in dg else 0 for block in pg]
+    joins = [(lookF[fcid], lookG[gcid], cost) for fcid, gcid, cost in seams]
+    attach = [(lookF[scid] if side == "F" else lookG[scid], rcid)
+              for rcid, side, scid in result_members]
+    return _evaluate_surface(chi, dots, joins, attach)
 
 
 def _bilinear(fm, gm, seams, result_members):
@@ -181,16 +179,20 @@ def _bilinear(fm, gm, seams, result_members):
             glued = _glue_pair(pf, df, pg, dg, seams, result_members)
             if glued is None:
                 continue
-            coeff, blocks, dotted = glued
-            c = qt.mul(qt.mul(cf, cg), coeff)
-            if not c:
-                continue
-            basis = (blocks, dotted)
-            s = qt.add(out.get(basis, {}), c)
-            if s:
-                out[basis] = s
-            else:
-                out.pop(basis, None)
+            coeff, texp, basis = glued
+            acc = out.get(basis)
+            if acc is None:
+                acc = out[basis] = {}
+            for e1, c1 in cf.items():
+                for e2, c2 in cg.items():
+                    e = e1 + e2 + texp
+                    s = acc.get(e, 0) + c1 * c2 * coeff
+                    if s:
+                        acc[e] = s
+                    else:
+                        del acc[e]
+            if not acc:
+                del out[basis]
     return out
 
 
@@ -205,13 +207,9 @@ def _add_morphism(a, b):
     return out
 
 
-def _scale_morphism(m, poly):
-    out = {}
-    for basis, c in m.items():
-        v = qt.mul(c, poly)
-        if v:
-            out[basis] = v
-    return out
+def _scale_morphism(m, c):
+    """m times a nonzero scalar c, with integral coefficients kept as ints."""
+    return {basis: {e: _exact(v * c) for e, v in p.items()} for basis, p in m.items()}
 
 
 def compose(fm, A, B, gm, C):
@@ -238,19 +236,20 @@ def compose(fm, A, B, gm, C):
             result_members.append((rcid, "F", rcid))
         else:
             result_members.append((rcid, "G", rcid))
-    return _bilinear(fm, gm, seams, result_members)
+    return _bilinear(fm, gm, tuple(seams), tuple(result_members))
 
 
 # ---------------------------------------------------------------------------
 # stacking (vertical tangle composition)
 
 
+@functools.lru_cache(maxsize=VCOMP_CACHE)
 def vcomp(mO: tuple, mP: tuple, n: int):
     """Stack tangle P on top of tangle O (both on n strands).
 
-    Returns (match, circles, arc_traces) where circles is a list of
-    (middle-column set, trace) for newly closed loops and arc_traces maps
-    each outer arc (frozenset pair) to its list of ("O"/"P", point pair)
+    Returns (match, circles, arc_traces) where circles is a tuple of
+    (middle-column set, trace) for newly closed loops and arc_traces pairs
+    each outer arc (frozenset pair) with its tuple of ("O"/"P", point pair)
     constituents.  Result points: bottom 0..n-1 = O's bottom, top n..2n-1 =
     P's top.
     """
@@ -291,7 +290,7 @@ def vcomp(mO: tuple, mP: tuple, n: int):
         match[rid1] = rid0
         claimed.add(rid0)
         claimed.add(rid1)
-        arc_traces[frozenset((rid0, rid1))] = trace
+        arc_traces[frozenset((rid0, rid1))] = tuple(trace)
 
     circles = []
     for c in range(n):
@@ -312,14 +311,15 @@ def vcomp(mO: tuple, mP: tuple, n: int):
             mids.add(mid)
             visited_mid.add(mid)
     # note: the loop above always terminates because the walk is a closed orbit
-        circles.append((frozenset(mids), trace))
+        circles.append((frozenset(mids), tuple(trace)))
     circles.sort(key=lambda ct: min(ct[0]))
     mt = tuple(match[i] for i in range(2 * n))
-    return mt, circles, arc_traces
+    return mt, tuple(circles), tuple(arc_traces.items())
 
 
 def stacked_objects(O, P, n):
-    """(match, ncirc) of the vertical composite, plus the new-circle list."""
+    """(match, ncirc) of the vertical composite, plus the new circles and
+    the arc traces of ``vcomp``."""
     mO, ncO = O
     mP, ncP = P
     m, circles, traces = vcomp(mO, mP, n)
@@ -374,7 +374,7 @@ def stack(fm, A, B, gm, C, D, n):
         else:
             side, ref = tgt_ref(rcid[1])
             result_members.append((rcid, side, ref))
-    return _bilinear(fm, gm, seams, result_members), E1, E2
+    return _bilinear(fm, gm, tuple(seams), tuple(result_members)), E1, E2
 
 
 # ---------------------------------------------------------------------------
@@ -414,75 +414,23 @@ def close_morphism(fm, A, B, n):
     ciA = close_object(A, n)
     ciB = close_object(B, n)
 
+    seams = [(p2cF[c], p2cF[n + c]) for c in range(n)]
+    boundary = [(("s", i), ("s", i)) for i in range(ncA)]
+    boundary += [(("s", ncA + k), p2cF[min(circ)]) for k, circ in enumerate(ciA)]
+    boundary += [(("t", j), ("t", j)) for j in range(ncB)]
+    boundary += [(("t", ncB + k), p2cF[min(circ)]) for k, circ in enumerate(ciB)]
+
     out = {}
     for (pf, df), cf in fm.items():
-        lookF = _block_lookup(pf)
-        uf = _UF()
-        chi = {}
-        dots = {}
-        for block in pf:
-            uf.find(block)
-            chi[block] = 2 - len(block)
-            dots[block] = 1 if block in df else 0
-
-        def merge(b1, b2, cost):
-            r1, r2 = uf.find(b1), uf.find(b2)
-            if r1 == r2:
-                chi[r1] -= cost
-                return
-            r = uf.union(r1, r2)
-            o = r1 if r == r2 else r2
-            chi[r] = chi[r] + chi[o] - cost
-            dots[r] = dots[r] + dots[o]
-            del chi[o], dots[o]
-
-        for c in range(n):
-            merge(lookF[p2cF[c]], lookF[p2cF[n + c]], 1)
-
-        members = {}
-
-        def attach(rcid, fcid):
-            members.setdefault(uf.find(lookF[fcid]), []).append(rcid)
-
-        for i in range(ncA):
-            attach(("s", i), ("s", i))
-        for k, circ in enumerate(ciA):
-            attach(("s", ncA + k), p2cF[min(circ)])
-        for j in range(ncB):
-            attach(("t", j), ("t", j))
-        for k, circ in enumerate(ciB):
-            attach(("t", ncB + k), p2cF[min(circ)])
-
-        coeff = dict(cf)
-        blocks = []
-        dotted = []
-        dead = False
-        for root in list(chi.keys()):
-            if uf.find(root) != root:
-                continue
-            b = len(members.get(root, ()))
-            genus2 = 2 - chi[root] - b
-            if genus2 % 2 or genus2 < 0:
-                raise KhleeError("impossible genus while closing")
-            g = genus2 // 2
-            d = dots[root] + g
-            if g:
-                coeff = qt.scale(coeff, 2**g)
-            if b == 0:
-                if d % 2 == 0:
-                    dead = True
-                    break
-                coeff = qt.shift(coeff, (d - 1) // 2)
-                continue
-            coeff = qt.shift(coeff, d // 2)
-            block = frozenset(members[root])
-            blocks.append(block)
-            if d % 2:
-                dotted.append(block)
-        if dead or not coeff:
+        lookF = {cid: i for i, block in enumerate(pf) for cid in block}
+        glued = _evaluate_surface([2 - len(block) for block in pf],
+                                  [1 if block in df else 0 for block in pf],
+                                  [(lookF[a], lookF[b], 1) for a, b in seams],
+                                  [(lookF[fcid], rcid) for rcid, fcid in boundary])
+        if glued is None:
             continue
-        basis = (frozenset(blocks), frozenset(dotted))
-        s = qt.add(out.get(basis, {}), coeff)
+        coeff, texp, basis = glued
+        s = qt.add(out.get(basis, {}), {e + texp: v * coeff for e, v in cf.items()})
         if s:
             out[basis] = s
         else:
@@ -516,7 +464,10 @@ class ScanComplex:
         self.out[uid] = {}
         self.inc[uid] = {}
         if len(self.obj) > self.object_cap:
-            raise ResourceLimit("scan complex exceeded the object budget")
+            raise ResourceLimit(
+                f"scan complex reached {len(self.obj)} objects, over its budget of "
+                f"{self.object_cap} = max(generator limit // 8, 4096), the generator "
+                f"limit coming from --limit or KHLEE_LIMIT")
         return uid
 
     def remove_object(self, uid):
@@ -571,6 +522,7 @@ def _eliminate(cx: ScanComplex, tracked: dict):
         if lam is None:
             continue
         B_obj = cx.obj[b]
+        fac = _quotient(-1, lam)
         outs = [(f, mf) for f, mf in cx.out[b].items() if f != c0]
         ins = [(e, me) for e, me in cx.inc[c0].items() if e != b]
         # tracked column retraction: r(b) = 0, r(c0) = -(1/lam) gamma
@@ -579,8 +531,7 @@ def _eliminate(cx: ScanComplex, tracked: dict):
         if tc:
             for f, mf in outs:
                 corr = _scale_morphism(
-                    compose(tc, tracked["__source__"], B_obj, mf, cx.obj[f]),
-                    qt.mono(Fraction(-1, 1) / lam))
+                    compose(tc, tracked["__source__"], B_obj, mf, cx.obj[f]), fac)
                 cur = tracked.get(f, {})
                 merged = _add_morphism(cur, corr)
                 if merged:
@@ -592,8 +543,7 @@ def _eliminate(cx: ScanComplex, tracked: dict):
         for e, me in ins:
             for f, mf in outs:
                 corr = _scale_morphism(
-                    compose(me, cx.obj[e], B_obj, mf, cx.obj[f]),
-                    qt.mono(Fraction(-1, 1) / lam))
+                    compose(me, cx.obj[e], B_obj, mf, cx.obj[f]), fac)
                 cx.add_entry(e, f, corr)
                 if cx.out[e].get(f) and _is_unit_entry(cx, e, f) is not None:
                     heapq.heappush(heap, (len(cx.out[e]) * len(cx.inc[f]), e, f))
@@ -619,16 +569,16 @@ def _deloop_all(cx: ScanComplex, tracked: dict):
             base_blocks.append(frozenset((("s", i), ("t", i))))
         circle_block = frozenset((("s", j),))
         cap_blocks = frozenset(base_blocks + [circle_block])
-        p_plus = {(cap_blocks, frozenset((circle_block,))): qt.ONE}   # dotted cap
-        p_minus = {(cap_blocks, frozenset()): qt.ONE}                 # plain cap
+        p_plus = {(cap_blocks, frozenset((circle_block,))): _ONE}   # dotted cap
+        p_minus = {(cap_blocks, frozenset()): _ONE}                 # plain cap
         ids2, _ = match_cycles(match, nc - 1, match, nc)
         base_blocks2 = [frozenset((cid,)) for cid in ids2 if cid[0] == "b"]
         for i in range(nc - 1):
             base_blocks2.append(frozenset((("s", i), ("t", i))))
         circle_block2 = frozenset((("t", j),))
         cup_blocks = frozenset(base_blocks2 + [circle_block2])
-        i_plus = {(cup_blocks, frozenset()): qt.ONE}                  # plain cup
-        i_minus = {(cup_blocks, frozenset((circle_block2,))): qt.ONE}  # dotted cup
+        i_plus = {(cup_blocks, frozenset()): _ONE}                  # plain cup
+        i_minus = {(cup_blocks, frozenset((circle_block2,))): _ONE}  # dotted cup
 
         h, q = cx.h[uid], cx.q[uid]
         up = cx.add_object(outer, h, q + 1)
@@ -674,7 +624,7 @@ def _horizontal_match(n, col):
 def _saddle(src_match, tgt_match, n):
     ids, _ = match_cycles(src_match, 0, tgt_match, 0)
     blocks = frozenset(frozenset((cid,)) for cid in ids)
-    return {(blocks, frozenset()): qt.ONE}
+    return {(blocks, frozenset()): _ONE}
 
 
 def _letter_slots(n, row, kind, col):
@@ -684,7 +634,6 @@ def _letter_slots(n, row, kind, col):
     0-based column col (ignored for pure identity rows).
     """
     slots = {}
-    vm = _vertical_match(n)
     if kind == "vertical":
         for c in range(n):
             slots[frozenset((c, n + c))] = frozenset(((row - 1, c + 1), (row, c + 1)))
@@ -709,6 +658,7 @@ def scan_word(d: OrientedDiagram, limit=None, track_lee: bool = True):
 
     if d.braid is None:
         raise KhleeError("the scan engine needs a braid-built diagram")
+    clear_scan_caches()
     word = d.braid
     n = word.strands
     cap = max(generator_limit(limit) // 8, 4096)
@@ -724,20 +674,12 @@ def scan_word(d: OrientedDiagram, limit=None, track_lee: bool = True):
     src_circle_slots = []
 
     or_choice = d.oriented_choice()
-    sigma_index = 0
-    sign_of_letter = []
-    for letter in word.letters:
-        if isinstance(letter, int):
-            sign_of_letter.append(d.crossings[sigma_index].sign)
-            sigma_index += 1
-        else:
-            sign_of_letter.append(None)
-
+    cidx = 0  # crossing index of the next sigma letter
     for li, letter in enumerate(word.letters):
         row = li + 1
         if isinstance(letter, int):
             col = abs(letter) - 1
-            sign = sign_of_letter[li]
+            sign = d.crossings[cidx].sign
             # 0-smoothing (A) is vertical for positive letters, horizontal
             # for negative letters; sign determines the grading shifts
             m_a = _vertical_match(n) if letter > 0 else _horizontal_match(n, col)
@@ -747,8 +689,8 @@ def scan_word(d: OrientedDiagram, limit=None, track_lee: bool = True):
             else:
                 shifts = ((-1, -2), (0, -1))
             # which smoothing is the oriented one for this crossing
-            cidx = sum(1 for x in word.letters[:li] if isinstance(x, int))
             orres = or_choice[cidx]
+            cidx += 1
             letter_objects = [((m_a, 0), shifts[0]), ((m_b, 0), shifts[1])]
             saddle = _saddle(m_a, m_b, n)
             _tensor_letter(cx, tracked, letter_objects, saddle, orres, n,
@@ -783,21 +725,21 @@ def _tensor_letter(cx: ScanComplex, tracked, letter_objects, saddle, orres, n,
             new_uid[(uid, ri)] = cx.add_object(E, old_h[uid] + dh, old_q[uid] + dq)
 
     # differentials: d(x . l) = d(x) . l + (-1)^{h(x)} x . d(l)
+    letter_idents = [identity_morphism(lobj) for lobj, _sh in letter_objects]
     for uid, rowm in old_out.items():
         for tgt, f in rowm.items():
             for ri, (lobj, _sh) in enumerate(letter_objects):
-                ident = identity_morphism(lobj)
                 stacked, E1, E2 = stack(f, old_objects[uid], old_objects[tgt],
-                                        ident, lobj, lobj, n)
+                                        letter_idents[ri], lobj, lobj, n)
                 cx.add_entry(new_uid[(uid, ri)], new_uid[(tgt, ri)], stacked)
     if saddle is not None and len(letter_objects) == 2:
         for uid, obj in old_objects.items():
             ident = identity_morphism(obj)
             stacked, E1, E2 = stack(ident, obj, obj,
                                     saddle, letter_objects[0][0], letter_objects[1][0], n)
-            sgn = -1 if old_h[uid] % 2 else 1
-            cx.add_entry(new_uid[(uid, 0)], new_uid[(uid, 1)],
-                         _scale_morphism(stacked, qt.mono(sgn)))
+            if old_h[uid] % 2:
+                stacked = _scale_morphism(stacked, -1)
+            cx.add_entry(new_uid[(uid, 0)], new_uid[(uid, 1)], stacked)
 
     # retire old objects
     for uid in old_objects:
@@ -811,7 +753,7 @@ def _tensor_letter(cx: ScanComplex, tracked, letter_objects, saddle, orres, n,
 
     # update slot bookkeeping
     new_arc_slots = {}
-    for pair, trace in traces_src.items():
+    for pair, trace in traces_src:
         ss = frozenset()
         for side, arcs in trace:
             ss |= src_arc_slots[arcs] if side == "O" else lslots[arcs]
@@ -885,11 +827,11 @@ def _close_and_reduce(cx: ScanComplex, tracked, src_arc_slots, src_circle_slots,
                 per_block.append((srcs, tgts, block in dotted))
             # distribute over source label choices
             for mask_src in range(1 << kA):
-                results = [(0, qt.ONE)]  # (partial target mask, Qt coeff)
+                results = [(0, _ONE)]  # (partial target mask, Qt coeff)
                 ok = True
                 for srcs, tgts, dot in per_block:
                     # multiply the source labels in A
-                    a, b = qt.ONE, qt.ZERO  # element a*1 + b*x
+                    a, b = _ONE, qt.ZERO  # element a*1 + b*x
                     for s in srcs:
                         lab = (mask_src >> s) & 1
                         if lab == 0:
@@ -1026,15 +968,15 @@ class _ScanClosure:
                     tgts = sorted(c[1] for c in block if c[0] == "t")
                     per_block.append((srcs, tgts, block in dotted))
                 for flip, target in ((False, vo), (True, vbar)):
-                    results = [(0, qt.ONE)]
+                    results = [(0, _ONE)]
                     ok = True
                     for srcs, tgts, dot in per_block:
-                        a, b = qt.ONE, qt.ZERO
+                        a, b = _ONE, qt.ZERO
                         for s in srcs:
                             eps = signs[s] * (-1 if flip else 1)
                             # multiply by (eps*1 + x)
-                            na = qt.add(qt.scale(a, eps), qt.shift(b, 1))
-                            nb = qt.add(a, qt.scale(b, eps))
+                            na = qt.add(a if eps > 0 else qt.neg(a), qt.shift(b, 1))
+                            nb = qt.add(a, b if eps > 0 else qt.neg(b))
                             a, b = na, nb
                         if dot:
                             a, b = qt.shift(b, 1), a

@@ -95,3 +95,10 @@ def test_export_roundtrip():
     back = GradedComplex.from_text(text)
     assert back.dims_at_t0() == c.complex.dims_at_t0()
     assert back.dims_at_t(1) == c.complex.dims_at_t(1)
+
+
+def test_resource_limit_message():
+    with pytest.raises(ResourceLimit,
+                       match=r"cube reached \d+ generators after \d+ of 8 resolutions, "
+                             r"over the generator limit of 4 \(--limit or KHLEE_LIMIT\)"):
+        cube_of(2, (1, 1, 1), limit=4)

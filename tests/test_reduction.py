@@ -135,3 +135,25 @@ def test_reduced_coefficients_are_fractions():
         for cx in reduced:
             for row in list(cx.out.values()) + list(cx.inc.values()):
                 assert all(type(c) is Fraction for c, _e in row.values())
+
+
+def test_scan_tracked_vectors_are_fractions(monkeypatch):
+    # the scan engine computes with ints; its tracked Lee vectors must still
+    # reach the level solve as Fractions
+    from khlee import lee
+
+    handed = []
+    levels_from_tracked = lee._reduced_levels_from_tracked
+
+    def probe(red, vo, vbar):
+        handed.append((vo, vbar))
+        return levels_from_tracked(red, vo, vbar)
+
+    monkeypatch.setattr(lee, "_reduced_levels_from_tracked", probe)
+    braids = [d for _name, d in small_corpus() if d.braid is not None and d.n_components]
+    for d in braids:
+        lee.s_invariant(d, engine="scan", with_module=False, _compute_plus=False)
+    assert len(handed) >= len(braids)
+    for vectors in handed:
+        for v in vectors:
+            assert all(type(c) is Fraction for poly in v.values() for c in poly.values())

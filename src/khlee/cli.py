@@ -127,15 +127,34 @@ def _parse_orientation(text, components):
     return tuple(1 if ch == "+" else -1 for ch in text)
 
 
+def _s_reports(d, orientation, all_orientations, engine, limit):
+    if all_orientations:
+        return s_all_orientations(d, engine=engine, limit=limit)
+    return [s_invariant(d, orientation, engine=engine, limit=limit)]
+
+
 def cmd_s(args):
     d = load_diagram(args)
     orientation = _parse_orientation(args.orientation, d.n_components)
+    if args.engine == "both":
+        # brute is the oracle and its reports are the output; a braid is
+        # scanned too and must give the same values
+        reports = _s_reports(d, orientation, args.all_orientations, "brute", args.limit)
+        if d.braid is not None:
+            scanned = _s_reports(d, orientation, args.all_orientations, "scan", args.limit)
+            for rb, rs in zip(reports, scanned):
+                vb = (rb.s, rb.s_min, rb.s_max, rb.s_minus, rb.s_plus)
+                vs = (rs.s, rs.s_min, rs.s_max, rs.s_minus, rs.s_plus)
+                if vb != vs:
+                    raise KhleeError(
+                        f"brute and scan disagree on (s, s_min, s_max, s_minus, s_plus) "
+                        f"for orientation {list(rb.orientation)}: brute {vb}, scan {vs}")
+    else:
+        reports = _s_reports(d, orientation, args.all_orientations, args.engine, args.limit)
     if args.all_orientations:
-        reports = s_all_orientations(d, engine=args.engine, limit=args.limit)
         _emit(args, {"reports": [r.to_dict() for r in reports]}, "s")
-        return 0
-    rep = s_invariant(d, orientation, engine=args.engine, limit=args.limit)
-    _emit(args, rep.to_dict(), "s")
+    else:
+        _emit(args, reports[0].to_dict(), "s")
     return 0
 
 

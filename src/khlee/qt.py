@@ -66,27 +66,6 @@ def shift(a: Qt, exp: int) -> Qt:
     return {e + exp: v for e, v in a.items()}
 
 
-def is_zero(a: Qt) -> bool:
-    return not a
-
-
-def is_monomial(a: Qt) -> bool:
-    return len(a) == 1
-
-
-def monomial_parts(a: Qt) -> tuple[Fraction, int]:
-    """(coefficient, exponent) of a monomial; raises if not a monomial."""
-    if len(a) != 1:
-        raise ValueError(f"not a monomial: {a}")
-    ((e, c),) = a.items()
-    return c, e
-
-
-def const_coeff(a: Qt) -> Fraction:
-    """Coefficient of t^0."""
-    return a.get(0, Fraction(0))
-
-
 def eval_at(a: Qt, value) -> Fraction:
     v = Fraction(value)
     total = Fraction(0)
@@ -94,21 +73,3 @@ def eval_at(a: Qt, value) -> Fraction:
         total += c * v**e
     return total
 
-
-def min_exp(a: Qt) -> int:
-    return min(a)
-
-
-def to_str(a: Qt) -> str:
-    if not a:
-        return "0"
-    parts = []
-    for e in sorted(a):
-        c = a[e]
-        if e == 0:
-            parts.append(str(c))
-        elif e == 1:
-            parts.append(f"{c}*t" if c != 1 else "t")
-        else:
-            parts.append(f"{c}*t^{e}" if c != 1 else f"t^{e}")
-    return " + ".join(parts)

@@ -402,8 +402,9 @@ def close_object(obj, n):
     return circles
 
 
-def close_morphism(fm, A, B, n):
-    """The trace-closure functor on morphisms.
+def close_morphism(fm, A, B, n, ciA, ciB):
+    """The trace-closure functor on morphisms; ciA and ciB are the closure
+    circles of A and B (``close_object``).
 
     Resulting objects are circle collections, ordered [own circles] +
     [closure circles by min point].
@@ -411,8 +412,6 @@ def close_morphism(fm, A, B, n):
     mA, ncA = A
     mB, ncB = B
     _, p2cF = match_cycles(mA, ncA, mB, ncB)
-    ciA = close_object(A, n)
-    ciB = close_object(B, n)
 
     seams = [(p2cF[c], p2cF[n + c]) for c in range(n)]
     boundary = [(("s", i), ("s", i)) for i in range(ncA)]
@@ -651,9 +650,17 @@ def _letter_slots(n, row, kind, col):
 # the scan itself
 
 
-def scan_word(d: OrientedDiagram, limit=None, track_lee: bool = True):
+def scan_word(d: OrientedDiagram, limit=None, track_lee: bool = True, h_window=None):
     """Scan the diagram's braid word; return the reduced free complex and,
-    when track_lee, the Lee cycle images for (s_o, s_obar)."""
+    when track_lee, the Lee cycle images for (s_o, s_obar).
+
+    ``h_window=(lo, hi)`` drops, after each letter's elimination, every object
+    that can no longer reach a final homological degree in [lo, hi]: with p
+    positive and m negative crossings still to come, those with h + p < lo or
+    h - m > hi.
+    The filtration level of a degree-hi cycle modulo d(C^{hi-1}) is then that
+    of the full scan (README, "Windowed scan"); the homology is not.
+    """
     from .cube import generator_limit
 
     if d.braid is None:
@@ -675,6 +682,10 @@ def scan_word(d: OrientedDiagram, limit=None, track_lee: bool = True):
 
     or_choice = d.oriented_choice()
     cidx = 0  # crossing index of the next sigma letter
+    if h_window is not None:
+        lo, hi = h_window
+        p = sum(1 for c in d.crossings if c.sign > 0)  # crossings still to come
+        m = len(d.crossings) - p
     for li, letter in enumerate(word.letters):
         row = li + 1
         if isinstance(letter, int):
@@ -704,9 +715,32 @@ def scan_word(d: OrientedDiagram, limit=None, track_lee: bool = True):
                            src_arc_slots, src_circle_slots, row, "horizontal", col)
         _deloop_all(cx, tracked)
         _eliminate(cx, tracked)
+        if h_window is not None:
+            # cut after the elimination, so that an object just out of reach
+            # can still cancel its partner inside the window
+            if isinstance(letter, int):
+                if sign > 0:
+                    p -= 1
+                else:
+                    m -= 1
+            _cut_to_window(cx, tracked, lo - p, hi + m)
 
     return _close_and_reduce(cx, tracked, src_arc_slots, src_circle_slots, n,
                              len(word.letters), track_lee, limit)
+
+
+def _cut_to_window(cx: ScanComplex, tracked, lo, hi):
+    """Remove the objects of degree outside [lo, hi].
+
+    {h >= lo} is a subcomplex and {h > hi} one too (d raises h by one), so
+    the result is a subquotient of the complex.  The tracked Lee column sits
+    in degree 0, so a window that cuts it is an error.
+    """
+    for uid in [u for u, h in cx.h.items() if not lo <= h <= hi]:
+        if uid in tracked:
+            raise KhleeError(f"the tracked Lee column reached an object of degree "
+                             f"{cx.h[uid]}, outside the scan window [{lo}, {hi}]")
+        cx.remove_object(uid)
 
 
 def _tensor_letter(cx: ScanComplex, tracked, letter_objects, saddle, orres, n,
@@ -810,12 +844,12 @@ def _close_and_reduce(cx: ScanComplex, tracked, src_arc_slots, src_circle_slots,
             gid = gc.add_gen(cx.h[uid], cx.q[uid] + qshift)
             gen_of[(uid, mask)] = gid
 
-    def closed_entry_maps(fm, A, B):
+    def closed_entry_maps(fm, src, tgt):
         """Matrix of the closed morphism over labelings: {(mask_src, mask_tgt):
         Qt}.  Blocks evaluate through the algebra A = Q[t][x]/(x^2 - t)."""
-        closed = close_morphism(fm, A, B, n)
-        kA = A[1] + len(close_object(A, n))
-        kB = B[1] + len(close_object(B, n))
+        A = cx.obj[src]
+        closed = close_morphism(fm, A, cx.obj[tgt], n, obj_circles[src], obj_circles[tgt])
+        kA = A[1] + len(obj_circles[src])
         table = {}
         for (blocks, dotted), coeff in closed.items():
             # each block: sources S, targets T, dot flag
@@ -874,7 +908,7 @@ def _close_and_reduce(cx: ScanComplex, tracked, src_arc_slots, src_circle_slots,
 
     for src in sorted(cx.obj):
         for tgt, fm in cx.out[src].items():
-            table = closed_entry_maps(fm, cx.obj[src], cx.obj[tgt])
+            table = closed_entry_maps(fm, src, tgt)
             for (ms, mt), poly in table.items():
                 for e, c in poly.items():
                     gc.add_entry(gen_of[(src, ms)], gen_of[(tgt, mt)], c, e)
@@ -884,10 +918,10 @@ def _close_and_reduce(cx: ScanComplex, tracked, src_arc_slots, src_circle_slots,
         for uid, fm in tracked.items():
             if uid == "__source__":
                 continue
-            src_maps[uid] = close_morphism(fm, source, cx.obj[uid], n)
+            src_maps[uid] = close_morphism(fm, source, cx.obj[uid], n,
+                                           src_closed, obj_circles[uid])
 
-    return _ScanClosure(gc, gen_of, src_maps, source, src_closed,
-                        source_circle_slots, cx, n)
+    return _ScanClosure(gc, gen_of, src_maps, source_circle_slots)
 
 
 def _comul_many(a, b, k):
@@ -940,16 +974,11 @@ def _merge_results(pairs):
 class _ScanClosure:
     """Closed scan output pending Lee-vector evaluation and final reduction."""
 
-    def __init__(self, gc, gen_of, src_maps, source, src_closed,
-                 source_circle_slots, cx, n):
+    def __init__(self, gc, gen_of, src_maps, source_circle_slots):
         self.gc = gc
         self.gen_of = gen_of
         self.src_maps = src_maps
-        self.source = source
-        self.src_closed = src_closed
         self.source_circle_slots = source_circle_slots
-        self.cx = cx
-        self.n = n
 
     def lee_vectors(self, circle_sign_of_slotset):
         """Vectors for s_o and s_obar over the closed complex generators.
@@ -960,7 +989,6 @@ class _ScanClosure:
         vo = {}
         vbar = {}
         for uid, closed in self.src_maps.items():
-            kB = self.cx.obj[uid][1] + len(close_object(self.cx.obj[uid], self.n))
             for (blocks, dotted), coeff in closed.items():
                 per_block = []
                 for block in blocks:
@@ -1017,7 +1045,9 @@ def scan_levels(dd: OrientedDiagram, chain, limit=None, want_module=True):
     """Filtration levels of the Lee classes via the scanning engine."""
     from .lee import _reduced_levels_from_tracked
 
-    closure = scan_word(dd, limit=limit, track_lee=True)
+    # the level solve reads degrees -1 and 0 only; the module needs them all
+    closure = scan_word(dd, limit=limit, track_lee=True,
+                        h_window=None if want_module else (-1, 0))
     res = dd.resolve(dd.oriented_choice())
     slot2sign = {}
     for circ, sgn in zip(res.circles, chain.circle_signs):

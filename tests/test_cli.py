@@ -102,3 +102,41 @@ def test_table_output(capsys):
     code, out, _ = run(capsys, "s", "--builtin", "unknot", "--table", "--no-meta")
     assert code == 0
     assert "s: 0" in out
+
+
+def test_s_engine_both_cross_checks(capsys):
+    # brute and scan agree, and the brute report is the output
+    code, out, _ = run(capsys, "s", "--builtin", "trefoil+", "--engine", "both", "--no-meta")
+    assert code == 0
+    _, brute, _ = run(capsys, "s", "--builtin", "trefoil+", "--engine", "brute", "--no-meta")
+    assert out == brute
+    code, out, _ = run(capsys, "s", "--braid", "braid 3 udu: -1 2 e1", "--engine", "both",
+                       "--no-meta")
+    assert code == 0 and json.loads(out)["s"] == 0
+    code, out, _ = run(capsys, "s", "--builtin", "hopf+", "--all-orientations",
+                       "--engine", "both", "--no-meta")
+    assert code == 0
+    assert [r["s"] for r in json.loads(out)["reports"]] == [1, -1]
+    # PD input has no braid to scan: brute alone
+    code, out, _ = run(capsys, "s", "--pd", "PD[X(1,5,2,4), X(3,1,4,6), X(5,3,6,2)]",
+                       "--engine", "both", "--no-meta")
+    assert code == 0
+
+
+def test_s_engine_both_names_a_disagreement(capsys, monkeypatch):
+    from dataclasses import replace
+
+    from khlee import cli
+
+    s_invariant = cli.s_invariant
+
+    def off_by_two_scan(d, orientation=None, engine="auto", **kwargs):
+        rep = s_invariant(d, orientation, engine=engine, **kwargs)
+        return replace(rep, s_plus=rep.s_plus + 2) if engine == "scan" else rep
+
+    monkeypatch.setattr(cli, "s_invariant", off_by_two_scan)
+    code, _, err = run(capsys, "s", "--builtin", "trefoil+", "--engine", "both", "--no-meta")
+    assert code == 2
+    data = json.loads(err)
+    assert data["error"] == "KhleeError"
+    assert "brute (2, 1, 3, 2, 2), scan (2, 1, 3, 2, 4)" in data["message"]

@@ -176,6 +176,13 @@ def test_scan_generator_counts():
         closure = scan_word(builtin_diagram(name), track_lee=False)
         assert closure.gc.n_gens == closed, name
         assert scan_reduce(closure.gc).n_gens == reduced, name  # = scan_complex(d).n_gens
+    # the same scans windowed to degrees -1 and 0, as the s-invariant runs them
+    expect_windowed = {"T(5,5)": (32, 32), "Wh+(trefoil+,2)": (156, 126),
+                       "F_2(2)": (94, 90), "C_(3,2)(2)": (8, 8)}
+    for name, (closed, reduced) in expect_windowed.items():
+        closure = scan_word(builtin_diagram(name), track_lee=False, h_window=(-1, 0))
+        assert closure.gc.n_gens == closed, name
+        assert scan_reduce(closure.gc).n_gens == reduced, name
 
 
 def test_scan_object_budget_message():
@@ -189,3 +196,72 @@ def test_scan_object_budget_message():
     with pytest.raises(ResourceLimit, match=r"reached 3 objects, over its budget of 2 "
                                             r"= max\(generator limit // 8, 4096\)"):
         cx.add_object(obj, 0, 0)
+
+
+def _scan_values(diagrams):
+    return [(r.s, r.s_min, r.s_max, r.s_plus)
+            for r in (s_invariant(d, engine="scan", with_module=False) for d in diagrams)]
+
+
+def _window_diagrams():
+    from khlee.corpus import small_corpus
+
+    diagrams = [d for _name, d in small_corpus() if d.braid is not None]
+    diagrams += [from_braid(w) for w in random_braids(count=20, seed=31, max_letters=8)]
+    return diagrams + [d.mirror() for d in diagrams]
+
+
+def test_windowed_scan_matches_full_scan(monkeypatch):
+    # the (-1, 0) window of the module-free scan, s_+'s mirror pass included,
+    # gives the values of the full scan
+    from khlee import tlscan
+
+    scan_word, windows = tlscan.scan_word, []
+
+    def recording(*args, h_window=None, **kwargs):
+        windows.append(h_window)
+        return scan_word(*args, h_window=h_window, **kwargs)
+
+    def full(*args, h_window=None, **kwargs):
+        return scan_word(*args, **kwargs)
+
+    diagrams = _window_diagrams()
+    monkeypatch.setattr(tlscan, "scan_word", recording)
+    windowed = _scan_values(diagrams)
+    assert windows and set(windows) == {(-1, 0)}
+    monkeypatch.setattr(tlscan, "scan_word", full)
+    assert windowed == _scan_values(diagrams)
+
+
+def test_too_narrow_window_is_caught(monkeypatch):
+    # dropping degree -1 loses the boundaries the level solve reduces by:
+    # s(trefoil-) and s_+(trefoil+) come out wrong, which the oracle values see
+    from khlee import tlscan
+    from khlee.corpus import builtin_diagram
+
+    scan_word = tlscan.scan_word
+
+    def narrow(*args, h_window=None, **kwargs):
+        return scan_word(*args, h_window=h_window and (0, 0), **kwargs)
+
+    diagrams = [builtin_diagram("trefoil-"), builtin_diagram("trefoil+")]
+    assert _scan_values(diagrams) == [(-2, -3, -1, -2), (2, 1, 3, 2)]
+    monkeypatch.setattr(tlscan, "scan_word", narrow)
+    assert _scan_values(diagrams) == [(-4, -5, -3, -2), (2, 1, 3, 4)]
+
+
+def test_window_never_cuts_the_tracked_column():
+    # the tracked Lee column lives in degree 0; a cut that reaches it is a
+    # hard error, not a silent wrong level
+    from khlee.tlscan import ScanComplex, _cut_to_window, _vertical_match
+
+    cx = ScanComplex(2, object_cap=8)
+    obj = (_vertical_match(2), 0)
+    kept = cx.add_object(obj, 0, 0)
+    cx.add_object(obj, 2, 0)
+    tracked = {"__source__": obj, kept: {}}
+    _cut_to_window(cx, tracked, -1, 1)
+    assert set(cx.obj) == {kept}
+    with pytest.raises(KhleeError, match=r"tracked Lee column reached an object of degree 0, "
+                                         r"outside the scan window \[1, 1\]"):
+        _cut_to_window(cx, tracked, 1, 1)

@@ -15,15 +15,12 @@ import sys
 import time
 
 from .corpus import BUILTIN_S3_NAMES, BUILTIN_SSR_NAMES, builtin_diagram, builtin_ssr
-from .cube import build_cube
 from .diagrams import BraidWord, from_braid
 from .errors import KhleeError, ParseError
-from .lee import s_all_orientations, s_invariant
+from .lee import ENGINES, deformed_complex, s_all_orientations, s_invariant
 from .pdcode import parse_pd
-from .reduction import scan_reduce
 from .smith import homology_qt
 from .ssr import SsrDiagram, s_ssr, stabilization_check
-from .tlscan import scan_complex
 from .verify import run_suite
 
 
@@ -127,59 +124,21 @@ def _parse_orientation(text, components):
     return tuple(1 if ch == "+" else -1 for ch in text)
 
 
-def _s_reports(d, orientation, all_orientations, engine, limit):
-    if all_orientations:
-        return s_all_orientations(d, engine=engine, limit=limit)
-    return [s_invariant(d, orientation, engine=engine, limit=limit)]
-
-
 def cmd_s(args):
     d = load_diagram(args)
     orientation = _parse_orientation(args.orientation, d.n_components)
-    if args.engine == "both":
-        # brute is the oracle and its reports are the output; a braid is
-        # scanned too and must give the same values
-        reports = _s_reports(d, orientation, args.all_orientations, "brute", args.limit)
-        if d.braid is not None:
-            scanned = _s_reports(d, orientation, args.all_orientations, "scan", args.limit)
-            for rb, rs in zip(reports, scanned):
-                vb = (rb.s, rb.s_min, rb.s_max, rb.s_minus, rb.s_plus)
-                vs = (rs.s, rs.s_min, rs.s_max, rs.s_minus, rs.s_plus)
-                if vb != vs:
-                    raise KhleeError(
-                        f"brute and scan disagree on (s, s_min, s_max, s_minus, s_plus) "
-                        f"for orientation {list(rb.orientation)}: brute {vb}, scan {vs}")
-    else:
-        reports = _s_reports(d, orientation, args.all_orientations, args.engine, args.limit)
     if args.all_orientations:
+        reports = s_all_orientations(d, engine=args.engine, limit=args.limit)
         _emit(args, {"reports": [r.to_dict() for r in reports]}, "s")
     else:
-        _emit(args, reports[0].to_dict(), "s")
+        rep = s_invariant(d, orientation, engine=args.engine, limit=args.limit)
+        _emit(args, rep.to_dict(), "s")
     return 0
-
-
-def _complex_for(d, engine, limit):
-    if engine == "both":
-        cube = build_cube(d, limit=limit).complex
-        if d.braid is not None:
-            sc = scan_complex(d, limit=limit)
-            if sc.dims_at_t0() != cube.dims_at_t0() or sc.dims_at_t(1) != cube.dims_at_t(1):
-                raise KhleeError("brute and scan homologies disagree")
-        return cube
-    if engine == "scan" and d.braid is not None:
-        return scan_complex(d, limit=limit)
-    if engine in ("scan", "reduced"):
-        return scan_reduce(build_cube(d, limit=limit).complex)
-    if engine in ("auto", "brute"):
-        if engine == "auto" and d.braid is not None:
-            return scan_complex(d, limit=limit)
-        return build_cube(d, limit=limit).complex
-    raise KhleeError(f"unknown engine {engine!r}")
 
 
 def cmd_kh(args):
     d = load_diagram(args)
-    cx = _complex_for(d, args.engine, args.limit)
+    cx = deformed_complex(d, args.engine, args.limit)
     summary = homology_qt(cx)
     dims0 = {f"{h},{q}": v for (h, q), v in sorted(cx.dims_at_t0().items())}
     _emit(args, {"module": summary.to_dict(), "kh_dims_t0": dims0}, "kh")
@@ -188,10 +147,9 @@ def cmd_kh(args):
 
 def cmd_lee(args):
     d = load_diagram(args)
-    cx = _complex_for(d, args.engine, args.limit)
+    cx = deformed_complex(d, args.engine, args.limit)
     dims1 = {str(h): v for h, v in sorted(cx.dims_at_t(1).items())}
-    reports = s_all_orientations(d, engine=args.engine if args.engine != "both" else "auto",
-                                 limit=args.limit)
+    reports = s_all_orientations(d, engine=args.engine, limit=args.limit)
     levels = [{"orientation": list(r.orientation), "s_min": r.s_min, "s_max": r.s_max}
               for r in reports]
     _emit(args, {"lee_dims_t1": dims1, "generator_filtration_levels": levels}, "lee")
@@ -200,8 +158,8 @@ def cmd_lee(args):
 
 def cmd_ssr_s(args):
     s = load_ssr(args)
-    rep = s_ssr(s, engine=args.engine if args.engine != "both" else "auto",
-                limit=args.limit, check_stabilized=args.check_stabilized)
+    rep = s_ssr(s, engine=args.engine, limit=args.limit,
+                check_stabilized=args.check_stabilized)
     _emit(args, rep.to_dict(), "ssr-s")
     return 0
 
@@ -209,8 +167,7 @@ def cmd_ssr_s(args):
 def cmd_stab(args):
     s = load_ssr(args)
     table, stabilized = stabilization_check(
-        s, args.kmax, engine=args.engine if args.engine != "both" else "auto",
-        limit=args.limit, shift_per_k=args.shift)
+        s, args.kmax, engine=args.engine, limit=args.limit, shift_per_k=args.shift)
     _emit(args, {
         "sweep": [{"k": k, "s": v, "shifted": sh} for k, v, sh in table],
         "stabilized": stabilized,
@@ -237,6 +194,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "for links in S^3 and #^r(S^1 x S^2)")
     sub = ap.add_subparsers(dest="command", required=True)
 
+    def add_output(p):
+        p.add_argument("--json", action="store_true", help="JSON output (default)")
+        p.add_argument("--table", action="store_true", help="plain table output")
+        p.add_argument("--no-meta", action="store_true",
+                       help="omit the timestamp metadata")
+
     def add_common(p, ssr_input=False):
         p.add_argument("--builtin", help="built-in diagram name, e.g. " +
                        ", ".join(BUILTIN_S3_NAMES if not ssr_input else BUILTIN_SSR_NAMES))
@@ -244,14 +207,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--pd", help="PD code: file path, literal, or '-'")
             p.add_argument("--braid", help="braid word: file path, literal, or '-'")
         p.add_argument("--ssr", help="SSr diagram JSON: file path, literal, or '-'")
-        p.add_argument("--engine", default="auto",
-                       choices=["auto", "brute", "scan", "reduced", "both"])
+        p.add_argument("--engine", default="auto", choices=ENGINES,
+                       help="auto: scan on braid input, else brute; both: brute "
+                            "checked against scan on braid input")
         p.add_argument("--limit", type=int, default=None,
                        help="generator budget (default KHLEE_LIMIT or 2^22)")
-        p.add_argument("--json", action="store_true", help="JSON output (default)")
-        p.add_argument("--table", action="store_true", help="plain table output")
-        p.add_argument("--no-meta", action="store_true",
-                       help="omit the timestamp metadata")
+        add_output(p)
 
     p = sub.add_parser("s", help="Rasmussen s-invariant report")
     add_common(p)
@@ -280,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stab)
 
     p = sub.add_parser("verify", help="run an invariant suite")
-    add_common(p)
+    add_output(p)
     p.add_argument("--suite", default="all",
                    choices=["all", "oracle", "s3-properties", "ssr-properties"])
     p.add_argument("--quick", action="store_true", help="smaller corpus")

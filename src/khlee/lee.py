@@ -1,12 +1,16 @@
-"""Canonical Lee cycles, quantum filtration levels, and the s-invariant.
+"""Canonical Lee cycles, quantum filtration levels, the s-invariant, and
+the engine dispatcher.
 
 The Lee cycle of an orientation o lives on the oriented resolution: each
 circle C gets (-1)^{c(C)} 1 + x, where c(C) is the checkerboard colour of
 the diagram face on the left of C (``OrientedDiagram.seifert_signs``).
-Both filtration engines (brute cube slice, reduced complex with a tracked
-retraction) end in the same descending-level solve: the level of [z] is the
-q-degree of the first coordinate at which z stops being reducible modulo
-boundaries.
+Both engines end in the same tail: build a complex (``brute``: the cube of
+resolutions; ``scan``: the tangle scanner's closure), eliminate its unit
+entries with the Lee cycles tracked through the retraction
+(``reduction.scan_reduce``), and solve for the filtration levels on what is
+left.  The level of [z] is the q-degree of the first coordinate at which z
+stops being reducible modulo boundaries.  ``run_engine`` picks the engine
+for every caller, and under ``both`` checks one against the other.
 """
 
 from __future__ import annotations
@@ -22,8 +26,11 @@ from .frobenius import FrobeniusData
 from .linalg import ColumnSpace
 from .reduction import scan_reduce
 from .smith import HomologySummary, homology_qt
+from .tlscan import scan_complex, scan_levels
 
-BRUTE_CROSSING_DEFAULT = 14
+ENGINES = ("auto", "brute", "scan", "both")
+# brute reports the Q[t]-module, which needs the full cube, up to this size
+MODULE_CROSSING_MAX = 12
 
 
 @dataclass
@@ -217,22 +224,26 @@ class SReport:
         }
 
 
-def _brute_levels(dd: OrientedDiagram, chain: LeeChain, limit):
-    """(level(s_o), level(s_obar), level(+), level(-)) on the cube slice."""
-    cube = build_cube(dd, limit=limit, h_window=(-1, 0))
-    filt = specialize_t(cube.complex, 1)
-    zo = lee_vector_in_cube(chain, cube)
-    zbar = lee_vector_in_cube(chain.conjugate(), cube)
-    gens_h0 = [g for g, hh in filt.gen_h.items() if hh == 0]
-    cols = [dict(filt.out[src]) for src in filt.gens_at(-1) if filt.out[src]]
-    solver = _level_solver(filt.gen_q, gens_h0, cols)
-    plus = {g: zo.get(g, Fraction(0)) + zbar.get(g, Fraction(0)) for g in set(zo) | set(zbar)}
-    minus = {g: zo.get(g, Fraction(0)) - zbar.get(g, Fraction(0)) for g in set(zo) | set(zbar)}
-    return solver(zo), solver(zbar), solver(plus), solver(minus)
+def _brute_levels(dd: OrientedDiagram, chain: LeeChain, limit, want_module=False):
+    """(levels, module) on the cube of resolutions reduced by the unit
+    elimination, the Lee cycles tracked through it.
+
+    The levels are those of (s_o, s_obar, s_o + s_obar, s_o - s_obar).  They
+    read only degrees -1 and 0, so the cube is built on that window unless
+    the module is wanted, which needs every degree; the module is left out
+    (None) above MODULE_CROSSING_MAX crossings.
+    """
+    want_module = want_module and dd.n_crossings <= MODULE_CROSSING_MAX
+    cube = build_cube(dd, limit=limit, h_window=None if want_module else (-1, 0))
+    vo = {g: qt.mono(c) for g, c in lee_vector_in_cube(chain, cube).items()}
+    vbar = {g: qt.mono(c) for g, c in lee_vector_in_cube(chain.conjugate(), cube).items()}
+    red, (vo, vbar) = scan_reduce(cube.complex, tracked=[vo, vbar])
+    levels = _reduced_levels_from_tracked(red, vo, vbar)
+    return levels, homology_qt(red) if want_module else None
 
 
 def _reduced_levels_from_tracked(red, vo, vbar):
-    """Same four levels, on a reduced complex with tracked vectors (Qt)."""
+    """The four levels, on a reduced complex with tracked vectors (Qt)."""
     filt = specialize_t(red, 1)
 
     def at1(v):
@@ -252,25 +263,44 @@ def _reduced_levels_from_tracked(red, vo, vbar):
     return solver(zo), solver(zbar), solver(plus), solver(minus)
 
 
-def _reduced_engine_levels(dd, chain, limit, want_module):
-    """Full cube + Gaussian reduction with a tracked Lee cycle."""
-    cube = build_cube(dd, limit=limit)
-    vo = {g: qt.mono(c) for g, c in lee_vector_in_cube(chain, cube).items()}
-    vbar = {g: qt.mono(c) for g, c in lee_vector_in_cube(chain.conjugate(), cube).items()}
-    red, (vo, vbar) = scan_reduce(cube.complex, tracked=[vo, vbar])
-    levels = _reduced_levels_from_tracked(red, vo, vbar)
-    summary = homology_qt(red) if want_module else None
-    return levels, summary
+def run_engine(d: OrientedDiagram, engine, brute, scan, checked):
+    """The engine dispatcher, through which every s-invariant and every
+    homology computation passes.
+
+    ``brute`` and ``scan`` are callables computing the same result for d
+    with the two engines.  ``auto`` runs scan when d has a braid and brute
+    otherwise; ``scan`` on a diagram without one raises the scanner's
+    KhleeError.  ``both`` runs brute, the oracle, plus scan when d has a
+    braid, and returns brute's result.  ``checked(result)`` names the values
+    the engines must agree on, None where an engine left one out; a
+    disagreement raises KhleeError naming both values.
+    """
+    if engine not in ENGINES:
+        raise KhleeError(f"unknown engine {engine!r}; choose from {', '.join(ENGINES)}")
+    if engine == "auto":
+        engine = "scan" if d.braid is not None else "brute"
+    if engine == "scan":
+        return scan()
+    result = brute()
+    if engine == "both" and d.braid is not None:
+        ours, theirs = checked(result), checked(scan())
+        for what, value in ours.items():
+            other = theirs[what]
+            if value is not None and other is not None and value != other:
+                raise KhleeError(
+                    f"brute and scan disagree on {what}: brute {value}, scan {other}")
+    return result
 
 
-def pick_engine(d: OrientedDiagram, engine: str = "auto") -> str:
-    if engine not in ("auto", "brute", "scan", "reduced"):
-        raise KhleeError(f"unknown engine {engine!r}")
-    if engine != "auto":
-        return engine
-    if d.braid is not None:
-        return "scan"
-    return "brute" if d.n_crossings <= BRUTE_CROSSING_DEFAULT else "reduced"
+def deformed_complex(d: OrientedDiagram, engine: str = "auto", limit=None):
+    """The deformed complex of d over Q[t], with every unit entry
+    eliminated: brute reduces the full cube, scan the scanner's closure.
+    ``both`` checks that the two have the same Q[t]-module."""
+    return run_engine(
+        d, engine,
+        lambda: scan_reduce(build_cube(d, limit=limit).complex),
+        lambda: scan_complex(d, limit=limit),
+        lambda cx: {"the Q[t]-module": homology_qt(cx)})
 
 
 def s_invariant(d: OrientedDiagram, orientation=None, engine: str = "auto",
@@ -279,21 +309,14 @@ def s_invariant(d: OrientedDiagram, orientation=None, engine: str = "auto",
     if d.n_components == 0:
         # the empty link has s = 1 by convention, for both signs
         return SReport((), 1, 0, 2, 1, 1, [0])
-    requested = engine
-    engine = pick_engine(d, engine)
     chain = lee_generator(d, orientation)
     dd = chain.diagram
-    summary = None
-    if engine == "scan":
-        from .tlscan import scan_levels
-        levels, summary = scan_levels(dd, chain, limit=limit, want_module=with_module)
-    elif engine == "brute":
-        levels = _brute_levels(dd, chain, limit)
-        if with_module and d.n_crossings <= 12:
-            cube = build_cube(dd, limit=limit)
-            summary = homology_qt(cube.complex)
-    else:
-        levels, summary = _reduced_engine_levels(dd, chain, limit, with_module)
+    levels, summary = run_engine(
+        dd, engine,
+        lambda: _brute_levels(dd, chain, limit, with_module),
+        lambda: scan_levels(dd, chain, limit=limit, want_module=with_module),
+        lambda result: {"the levels of (s_o, s_obar, s_o + s_obar, s_o - s_obar)": result[0],
+                        "the Q[t]-module": result[1]})
     lo, lbar, lplus, lminus = levels
     if lo != lbar:
         raise InconsistentModule(f"q[s_o] = {lo} differs from q[s_obar] = {lbar}")
@@ -307,7 +330,7 @@ def s_invariant(d: OrientedDiagram, orientation=None, engine: str = "auto",
         raise InconsistentModule(f"s = {s} violates parity for {ell} components")
     s_plus = None
     if _compute_plus:
-        rep_m = s_invariant(d.mirror(), orientation, engine=requested, limit=limit,
+        rep_m = s_invariant(d.mirror(), orientation, engine=engine, limit=limit,
                             with_module=False, _compute_plus=False)
         s_plus = -rep_m.s
         if s_plus < s:

@@ -12,13 +12,11 @@ import random
 from . import diagrams as dg
 from .corpus import (builtin_ssr, random_braids, random_oriented_pure_diagram,
                      small_corpus, torus_word)
-from .cube import build_cube
 from .diagrams import BraidWord, from_braid
 from .errors import KhleeError
-from .lee import lee_generator, s_all_orientations, s_invariant
+from .lee import deformed_complex, lee_generator, s_all_orientations, s_invariant
 from .ssr import (SsrDiagram, approx_threshold, bennequin_report,
                   insert_twists, positivity_formula, s_ssr, stabilization_check)
-from .tlscan import scan_complex
 
 
 def _s(d, engine="auto", plus=False):
@@ -27,7 +25,7 @@ def _s(d, engine="auto", plus=False):
 
 
 def suite_oracle(quick: bool = False):
-    """Brute-vs-scan agreement and Lee dimension counts."""
+    """Brute-vs-scan agreement (engine ``both``) and Lee dimension counts."""
     corpus = small_corpus()
     braids = random_braids(count=20 if quick else 100)
     named = corpus + [(f"braid{i}", from_braid(w)) for i, w in enumerate(braids)]
@@ -35,20 +33,18 @@ def suite_oracle(quick: bool = False):
     bad_dim = []
     bad_s = []
     for name, d in named:
-        cube = build_cube(d)
-        dims0 = cube.complex.dims_at_t0()
-        dims1 = cube.complex.dims_at_t(1)
-        if sum(dims1.values()) != 2 ** d.n_components:
+        try:
+            cx = deformed_complex(d, engine="both")
+        except KhleeError as e:
+            bad_hom.append(f"{name}: {e}")
+            continue
+        if sum(cx.dims_at_t(1).values()) != 2 ** d.n_components:
             bad_dim.append(name)
-        if d.braid is not None:
-            sc = scan_complex(d)
-            if sc.dims_at_t0() != dims0 or sc.dims_at_t(1) != dims1:
-                bad_hom.append(name)
-            sb = _s(d, engine="brute").s
-            ss = _s(d, engine="scan").s
-            if sb != ss:
-                bad_s.append(f"{name}: brute {sb} scan {ss}")
-    yield ("brute-vs-scan homology equivalence", not bad_hom, ", ".join(bad_hom) or "all match")
+        try:
+            _s(d, engine="both")
+        except KhleeError as e:
+            bad_s.append(f"{name}: {e}")
+    yield ("brute-vs-scan homology equivalence", not bad_hom, "; ".join(bad_hom) or "all match")
     yield ("dim Lee homology = 2^components", not bad_dim, ", ".join(bad_dim) or "all match")
     yield ("brute-vs-scan s-invariant", not bad_s, "; ".join(bad_s) or "all match")
 
@@ -93,8 +89,8 @@ def suite_s3(quick: bool = False):
         if d.n_crossings > 8 or d.n_components == 0:
             continue
         chain = lee_generator(d)
-        lo, lb, lp, lm = _brute_levels(d, chain, None)
-        lo2, lb2, lp2, lm2 = _brute_levels(d, chain.conjugate(), None)
+        (lo, lb, lp, lm), _ = _brute_levels(d, chain, None)
+        (lo2, lb2, lp2, lm2), _ = _brute_levels(d, chain.conjugate(), None)
         if (lo, lb) != (lo2, lb2) or sorted((lp, lm)) != sorted((lp2, lm2)):
             bad.append(name)
     yield ("global sign-flip of circle signs leaves s unchanged", not bad,

@@ -123,20 +123,82 @@ def test_s_engine_both_cross_checks(capsys):
     assert code == 0
 
 
+def _off_by_two_scan_levels(monkeypatch):
+    """Make the scan engine report every filtration level two too high."""
+    from khlee import lee
+
+    scan_levels = lee.scan_levels
+
+    def off_by_two(dd, chain, **kwargs):
+        levels, summary = scan_levels(dd, chain, **kwargs)
+        return tuple(x + 2 for x in levels), summary
+
+    monkeypatch.setattr(lee, "scan_levels", off_by_two)
+
+
 def test_s_engine_both_names_a_disagreement(capsys, monkeypatch):
-    from dataclasses import replace
-
-    from khlee import cli
-
-    s_invariant = cli.s_invariant
-
-    def off_by_two_scan(d, orientation=None, engine="auto", **kwargs):
-        rep = s_invariant(d, orientation, engine=engine, **kwargs)
-        return replace(rep, s_plus=rep.s_plus + 2) if engine == "scan" else rep
-
-    monkeypatch.setattr(cli, "s_invariant", off_by_two_scan)
+    _off_by_two_scan_levels(monkeypatch)
     code, _, err = run(capsys, "s", "--builtin", "trefoil+", "--engine", "both", "--no-meta")
     assert code == 2
     data = json.loads(err)
     assert data["error"] == "KhleeError"
-    assert "brute (2, 1, 3, 2, 2), scan (2, 1, 3, 2, 4)" in data["message"]
+    assert "brute (1, 1, 1, 3), scan (3, 3, 3, 5)" in data["message"]
+
+
+BOTH_COMMANDS = [
+    ("kh", "--builtin", "figure8"),
+    ("lee", "--builtin", "hopf+"),
+    ("ssr-s", "--builtin", "Wh+"),
+    ("stab", "--builtin", "F_1", "--kmax", "3"),
+]
+
+
+@pytest.mark.parametrize("argv", BOTH_COMMANDS, ids=lambda a: a[0])
+def test_engine_both_agrees_with_brute(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--engine", "both", "--no-meta")
+    assert code == 0
+    _, brute, _ = run(capsys, *argv, "--engine", "brute", "--no-meta")
+    assert out == brute
+
+
+@pytest.mark.parametrize("argv", BOTH_COMMANDS[1:], ids=lambda a: a[0])
+def test_engine_both_names_a_level_disagreement(capsys, monkeypatch, argv):
+    _off_by_two_scan_levels(monkeypatch)
+    code, _, err = run(capsys, *argv, "--engine", "both", "--no-meta")
+    assert code == 2
+    message = json.loads(err)["message"]
+    assert "brute and scan disagree on the levels" in message
+    brute = message.rsplit("brute (", 1)[1].split(")", 1)[0]
+    scan = message.rsplit("scan (", 1)[1].split(")", 1)[0]
+    assert [int(x) + 2 for x in brute.split(", ")] == [int(x) for x in scan.split(", ")]
+
+
+def test_kh_engine_both_names_a_module_disagreement(capsys, monkeypatch):
+    from khlee import lee
+
+    scan_complex = lee.scan_complex
+    monkeypatch.setattr(lee, "scan_complex", lambda d, **kw: scan_complex(d.mirror(), **kw))
+    code, _, err = run(capsys, "kh", "--builtin", "trefoil+", "--engine", "both", "--no-meta")
+    assert code == 2
+    message = json.loads(err)["message"]
+    assert ("the Q[t]-module: brute HomologySummary(free=[(0, 1), (0, 3)], "
+            "torsion=[(3, 9, 1)]), scan HomologySummary(free=[(0, -3), (0, -1)]") in message
+
+
+def test_engine_choices(capsys):
+    # reduced was brute's cube plus the elimination kernel, which brute now is
+    with pytest.raises(SystemExit) as exc:
+        main(["s", "--builtin", "trefoil+", "--engine", "reduced"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'reduced'" in capsys.readouterr().err
+    # verify runs fixed suites and takes no diagram or engine
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "oracle", "--engine", "scan"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --engine scan" in capsys.readouterr().err
+    # scan needs a braid, on every command
+    pd = "PD[X(1,5,2,4), X(3,1,4,6), X(5,3,6,2)]"
+    for command in ("s", "kh", "lee"):
+        code, _, err = run(capsys, command, "--pd", pd, "--engine", "scan", "--no-meta")
+        assert code == 2
+        assert "needs a braid" in json.loads(err)["message"]

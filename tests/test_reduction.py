@@ -6,7 +6,7 @@ import pytest
 from khlee import qt
 from khlee.complexes import GradedComplex
 from khlee.corpus import random_braids, small_corpus
-from khlee.cube import build_cube
+from khlee.cube import build_cube, specialize_t
 from khlee.diagrams import BraidWord, from_braid
 from khlee.errors import KhleeError
 from khlee.reduction import scan_reduce
@@ -48,24 +48,58 @@ def test_no_unit_entries_left_and_equivalence():
         assert red.dims_at_t(1) == dims_t_by_rank(c, 1)
 
 
+def _raw_window_levels(d, chain):
+    """The levels of (s_o, s_obar, s_o + s_obar, s_o - s_obar), solved on the
+    unreduced (-1, 0) window of the cube."""
+    from khlee.lee import filtration_level, lee_vector_in_cube
+
+    window = build_cube(d, h_window=(-1, 0))
+    filt = specialize_t(window.complex, 1)
+    zo = lee_vector_in_cube(chain, window)
+    zbar = lee_vector_in_cube(chain.conjugate(), window)
+    keys = set(zo) | set(zbar)
+    plus = {g: zo.get(g, 0) + zbar.get(g, 0) for g in keys}
+    minus = {g: zo.get(g, 0) - zbar.get(g, 0) for g in keys}
+    return tuple(filtration_level(filt, z) for z in (zo, zbar, plus, minus))
+
+
 def test_tracked_vector_retraction_preserves_class():
-    # push a cycle through the reduction and verify its class via the
-    # filtration solver on both sides
-    from khlee.lee import _brute_levels, lee_generator, lee_vector_in_cube
-    from khlee.lee import _reduced_levels_from_tracked
+    # push a cycle through the reduction of the full cube and compare the
+    # level of its class with the raw solve on the unreduced window
+    from khlee.lee import _reduced_levels_from_tracked, lee_generator, lee_vector_in_cube
 
     for n, letters, orient in [(2, (1, 1, 1), ()), (3, (1, -2, 1, -2), ()),
                                (2, (1, 1), (True, False))]:
         d = from_braid(BraidWord(n, letters, orient))
         chain = lee_generator(d)
-        brute = _brute_levels(d, chain, None)
         cube = build_cube(d)
         vo = {g: qt.mono(c) for g, c in lee_vector_in_cube(chain, cube).items()}
         vbar = {g: qt.mono(c) for g, c in
                 lee_vector_in_cube(chain.conjugate(), cube).items()}
         red, (vo, vbar) = scan_reduce(cube.complex, tracked=[vo, vbar])
         reduced = _reduced_levels_from_tracked(red, vo, vbar)
-        assert brute == reduced
+        assert _raw_window_levels(d, chain) == reduced
+
+
+def test_brute_levels_match_raw_window_solve():
+    # the brute engine solves on the reduced window; the raw solve on the
+    # unreduced window is its oracle, over both mirror images
+    from khlee.lee import _brute_levels, lee_generator
+
+    diagrams = [d for _name, d in small_corpus()]
+    diagrams += [from_braid(w) for w in random_braids(count=20, seed=31, max_letters=7)]
+    compared = 0
+    for d in diagrams + [d.mirror() for d in diagrams]:
+        if not d.n_components:
+            continue
+        if build_cube(d, h_window=(-1, 0)).complex.n_gens > 1000:
+            continue
+        chain = lee_generator(d)
+        levels, module = _brute_levels(d, chain, None)
+        assert module is None
+        assert levels == _raw_window_levels(d, chain), d.braid
+        compared += 1
+    assert compared >= 100
 
 
 def test_dims_match_rank_oracle():

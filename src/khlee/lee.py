@@ -85,44 +85,27 @@ def _expand_terms(signs) -> dict:
 
 
 def _check_cycle_local(d: OrientedDiagram, res, terms) -> None:
-    """Verify d(chain) = 0 at t = 1 using only the edges leaving the
-    oriented resolution (each edge lands in its own target resolution)."""
-    choice = tuple(res.choice)
-    arcs_list = [c.arcs for c in res.circles]
-    arc2circle = {}
-    for j, arcs in enumerate(arcs_list):
-        for a in arcs:
-            arc2circle[a] = j
-    k = len(arcs_list)
+    """Verify d(chain) = 0 at t = 1 on the edges leaving the oriented
+    resolution.  Such an edge merges the two Seifert circles at its
+    crossing, which are distinct (``seifert_signs`` gives them opposite
+    signs); the merged circle takes the first one's bit, the others keep
+    theirs."""
+    arc2circle = {a: j for j, circle in enumerate(res.circles) for a in circle.arcs}
     for i, cross in enumerate(d.crossings):
-        if choice[i] != 0:
+        if res.choice[i] != 0:
             continue
-        ch2 = choice[:i] + (1,) + choice[i + 1:]
-        arcs2 = [c.arcs for c in d.resolve(ch2).circles]
-        arc2circle2 = {}
-        for j, arcs in enumerate(arcs2):
-            for a in arcs:
-                arc2circle2[a] = j
         involved = sorted({arc2circle[a] for a in cross.ends})
-        involved2 = sorted({arc2circle2[a] for a in cross.ends})
-        carry = {j: arc2circle2[min(arcs_list[j])] for j in range(k) if j not in involved}
         acc = {}
-        for mask, c in terms.items():
-            base = 0
-            for j, jt in carry.items():
-                if (mask >> j) & 1:
-                    base |= 1 << jt
-            if len(involved) == 2:
-                la, lb = (mask >> involved[0]) & 1, (mask >> involved[1]) & 1
-                for coeff, _te, lab in FrobeniusData.mul[(la, lb)]:
-                    tm = base | (lab << involved2[0])
-                    acc[tm] = acc.get(tm, Fraction(0)) + c * coeff
-            else:
-                la = (mask >> involved[0]) & 1
-                for coeff, _te, (l1, l2) in FrobeniusData.comul[la]:
-                    tm = base | (l1 << involved2[0]) | (l2 << involved2[1])
-                    acc[tm] = acc.get(tm, Fraction(0)) + c * coeff
-        if any(v != 0 for v in acc.values()):
+        if len(involved) == 2:
+            j0, j1 = involved
+            rest = ~((1 << j0) | (1 << j1))
+            for mask, c in terms.items():
+                for coeff, _te, lab in FrobeniusData.mul[((mask >> j0) & 1, (mask >> j1) & 1)]:
+                    tm = (mask & rest) | (lab << j0)
+                    acc[tm] = acc.get(tm, 0) + c * coeff
+        # ends on one circle: the edge splits it, and no comultiplication
+        # of eps*1 + x is zero
+        if len(involved) != 2 or any(v != 0 for v in acc.values()):
             raise NotACycle(
                 f"Lee chain is not a cycle at t=1 (crossing {i}); this "
                 "signals a circle-sign computation bug")

@@ -34,13 +34,6 @@ def add(a: Qt, b: Qt) -> Qt:
     return out
 
 
-def neg(a: Qt) -> Qt:
-    return {e: -c for e, c in a.items()}
-
-def sub(a: Qt, b: Qt) -> Qt:
-    return add(a, neg(b))
-
-
 def mul(a: Qt, b: Qt) -> Qt:
     out: Qt = {}
     for e1, c1 in a.items():

@@ -8,12 +8,17 @@ relations: two dots on a component = t, handle = 2 dots with coefficient 2,
 dotless sphere = 0, dotted sphere = 1.  After each letter the complex is
 delooped and Gaussian-eliminated, which keeps it small even for long torus
 words.  The trace closure at the end turns everything into free
-Q[t]-modules.
+Q[t]-modules: one evaluator (``_apply_closed``) reads a closed cobordism
+off as a map of tensor powers of A = Q[t][x]/(x^2 - t), for the closed
+differential and for the Lee vectors alike.
 
 The canonical Lee cycle survives the whole process through a tracked
-retraction column (morphisms from the oriented-resolution tangle of the
-scanned prefix into the current objects).  All maps are q-homogeneous, so
-at t=1 the tracked image keeps the filtration level of the class.
+retraction column, a ``TrackedColumn``: morphisms from its ``source``, the
+oriented-resolution tangle of the scanned prefix, into the current objects,
+plus the boundary slots of the source's arcs and circles, by which the
+closure matches its circles to the Seifert circles and their Lee signs.
+All maps are q-homogeneous, so at t=1 the tracked image keeps the
+filtration level of the class.
 """
 
 from __future__ import annotations
@@ -196,14 +201,19 @@ def _bilinear(fm, gm, seams, result_members):
     return out
 
 
+def _accumulate(acc, key, poly):
+    """acc[key] += poly, dropping the key when the sum is zero."""
+    s = qt.add(acc.get(key, {}), poly)
+    if s:
+        acc[key] = s
+    else:
+        acc.pop(key, None)
+
+
 def _add_morphism(a, b):
     out = dict(a)
     for basis, c in b.items():
-        s = qt.add(out.get(basis, {}), c)
-        if s:
-            out[basis] = s
-        else:
-            out.pop(basis, None)
+        _accumulate(out, basis, c)
     return out
 
 
@@ -329,8 +339,8 @@ def stacked_objects(O, P, n):
 def stack(fm, A, B, gm, C, D, n):
     """Tensor f: A -> B (below) with g: C -> D (above).
 
-    Returns (morphism, E1, E2) with E1 = A.C and E2 = B.D; composite circle
-    order is [lower's, upper's, new by min middle column].
+    The result runs from A.C to B.D; composite circle order is [lower's,
+    upper's, new by min middle column].
     """
     mA, ncA = A
     mC, ncC = C
@@ -374,7 +384,7 @@ def stack(fm, A, B, gm, C, D, n):
         else:
             side, ref = tgt_ref(rcid[1])
             result_members.append((rcid, side, ref))
-    return _bilinear(fm, gm, tuple(seams), tuple(result_members)), E1, E2
+    return _bilinear(fm, gm, tuple(seams), tuple(result_members))
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +439,7 @@ def close_morphism(fm, A, B, n, ciA, ciB):
         if glued is None:
             continue
         coeff, texp, basis = glued
-        s = qt.add(out.get(basis, {}), {e + texp: v * coeff for e, v in cf.items()})
-        if s:
-            out[basis] = s
-        else:
-            out.pop(basis, None)
+        _accumulate(out, basis, {e + texp: v * coeff for e, v in cf.items()})
     return out
 
 
@@ -489,6 +495,56 @@ class ScanComplex:
         self.set_entry(src, tgt, _add_morphism(cur, morphism))
 
 
+class TrackedColumn:
+    """The tracked Lee column: ``maps`` sends object uids to morphisms from
+    ``source``, the oriented-resolution tangle of the scanned prefix.
+
+    ``arc_slots`` (arc point pair -> slot set) and ``circle_slots`` (one slot
+    set per closed source circle, in order of creation) record which slots
+    (row, column) of the braid diagram each piece of the source covers.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.source = (_vertical_match(n), 0)
+        self.maps = {}
+        self.rows = 0
+        self.arc_slots = {frozenset((c, n + c)): frozenset(((0, c + 1),)) for c in range(n)}
+        self.circle_slots = []
+
+    def add(self, uid, morphism):
+        """maps[uid] += morphism, dropping the entry when the sum is zero."""
+        merged = _add_morphism(self.maps.get(uid, {}), morphism)
+        if merged:
+            self.maps[uid] = merged
+        else:
+            self.maps.pop(uid, None)
+
+    def extend(self, lobj):
+        """Stack the next letter's oriented resolution lobj on the source.
+        Letter row r has the slots (r - 1, c) at its bottom and (r, c) on top."""
+        n = self.n
+        self.rows += 1
+        slot = [(self.rows - 1, c + 1) for c in range(n)] + [(self.rows, c + 1) for c in range(n)]
+        lslots = {frozenset((p, q)): frozenset((slot[p], slot[q])) for p, q in enumerate(lobj[0])}
+
+        def slots(trace):
+            return frozenset().union(*((self.arc_slots if side == "O" else lslots)[arcs]
+                                       for side, arcs in trace))
+
+        self.source, circles, traces = stacked_objects(self.source, lobj, n)
+        self.circle_slots += [slots(trace) for _mids, trace in circles]
+        self.arc_slots = {pair: slots(trace) for pair, trace in traces}
+
+    def closed_circle_slots(self):
+        """Slot sets of the source's circles after the trace closure, in
+        ``close_morphism``'s order: own circles, then closure circles."""
+        match = self.source[0]
+        return self.circle_slots + [
+            frozenset().union(*(self.arc_slots[frozenset((p, match[p]))] for p in circ))
+            for circ in close_object(self.source, self.n)]
+
+
 def _is_unit_entry(cx: ScanComplex, src, tgt):
     """Entry equal to lambda * identity with lambda a nonzero rational."""
     if cx.obj[src] != cx.obj[tgt] or cx.q[src] != cx.q[tgt]:
@@ -504,7 +560,7 @@ def _is_unit_entry(cx: ScanComplex, src, tgt):
     return c[0]
 
 
-def _eliminate(cx: ScanComplex, tracked: dict):
+def _eliminate(cx: ScanComplex, tracked: TrackedColumn):
     """Gaussian elimination of all unit entries, updating the tracked
     column through each retraction."""
     heap = []
@@ -525,18 +581,12 @@ def _eliminate(cx: ScanComplex, tracked: dict):
         outs = [(f, mf) for f, mf in cx.out[b].items() if f != c0]
         ins = [(e, me) for e, me in cx.inc[c0].items() if e != b]
         # tracked column retraction: r(b) = 0, r(c0) = -(1/lam) gamma
-        tb = tracked.pop(b, None)
-        tc = tracked.pop(c0, None)
+        tracked.maps.pop(b, None)
+        tc = tracked.maps.pop(c0, None)
         if tc:
             for f, mf in outs:
-                corr = _scale_morphism(
-                    compose(tc, tracked["__source__"], B_obj, mf, cx.obj[f]), fac)
-                cur = tracked.get(f, {})
-                merged = _add_morphism(cur, corr)
-                if merged:
-                    tracked[f] = merged
-                else:
-                    tracked.pop(f, None)
+                tracked.add(f, _scale_morphism(
+                    compose(tc, tracked.source, B_obj, mf, cx.obj[f]), fac))
         cx.remove_object(b)
         cx.remove_object(c0)
         for e, me in ins:
@@ -548,7 +598,7 @@ def _eliminate(cx: ScanComplex, tracked: dict):
                     heapq.heappush(heap, (len(cx.out[e]) * len(cx.inc[f]), e, f))
 
 
-def _deloop_all(cx: ScanComplex, tracked: dict):
+def _deloop_all(cx: ScanComplex, tracked: TrackedColumn):
     """Split every object containing circles via the delooping isomorphism."""
     queue = [uid for uid, (m, nc) in cx.obj.items() if nc > 0]
     while queue:
@@ -561,23 +611,14 @@ def _deloop_all(cx: ScanComplex, tracked: dict):
         j = nc - 1  # deloop the last circle; earlier indices keep their names
         inner = (match, nc)
         outer = (match, nc - 1)
-        ids, _ = match_cycles(match, nc, match, nc - 1)
-        # cap / cup morphisms between inner and outer
-        base_blocks = [frozenset((cid,)) for cid in ids if cid[0] == "b"]
-        for i in range(nc - 1):
-            base_blocks.append(frozenset((("s", i), ("t", i))))
-        circle_block = frozenset((("s", j),))
-        cap_blocks = frozenset(base_blocks + [circle_block])
-        p_plus = {(cap_blocks, frozenset((circle_block,))): _ONE}   # dotted cap
-        p_minus = {(cap_blocks, frozenset()): _ONE}                 # plain cap
-        ids2, _ = match_cycles(match, nc - 1, match, nc)
-        base_blocks2 = [frozenset((cid,)) for cid in ids2 if cid[0] == "b"]
-        for i in range(nc - 1):
-            base_blocks2.append(frozenset((("s", i), ("t", i))))
-        circle_block2 = frozenset((("t", j),))
-        cup_blocks = frozenset(base_blocks2 + [circle_block2])
-        i_plus = {(cup_blocks, frozenset()): _ONE}                  # plain cup
-        i_minus = {(cup_blocks, frozenset((circle_block2,))): _ONE}  # dotted cup
+        # cap / cup morphisms between inner and outer: outer's identity plus
+        # a disc on circle j
+        ((base, _),) = identity_morphism(outer)
+        cap, cup = frozenset((("s", j),)), frozenset((("t", j),))
+        p_plus = {(base | {cap}, frozenset((cap,))): _ONE}   # dotted cap
+        p_minus = {(base | {cap}, frozenset()): _ONE}        # plain cap
+        i_plus = {(base | {cup}, frozenset()): _ONE}         # plain cup
+        i_minus = {(base | {cup}, frozenset((cup,))): _ONE}  # dotted cup
 
         h, q = cx.h[uid], cx.q[uid]
         up = cx.add_object(outer, h, q + 1)
@@ -588,15 +629,10 @@ def _deloop_all(cx: ScanComplex, tracked: dict):
         for tgt, m_out in list(cx.out[uid].items()):
             cx.add_entry(up, tgt, compose(i_plus, outer, inner, m_out, cx.obj[tgt]))
             cx.add_entry(dn, tgt, compose(i_minus, outer, inner, m_out, cx.obj[tgt]))
-        t = tracked.pop(uid, None)
+        t = tracked.maps.pop(uid, None)
         if t:
-            src_obj = tracked["__source__"]
-            tup = compose(t, src_obj, inner, p_plus, outer)
-            tdn = compose(t, src_obj, inner, p_minus, outer)
-            if tup:
-                tracked[up] = _add_morphism(tracked.get(up, {}), tup)
-            if tdn:
-                tracked[dn] = _add_morphism(tracked.get(dn, {}), tdn)
+            tracked.add(up, compose(t, tracked.source, inner, p_plus, outer))
+            tracked.add(dn, compose(t, tracked.source, inner, p_minus, outer))
         cx.remove_object(uid)
         if nc - 1 > 0:
             queue.append(up)
@@ -626,26 +662,6 @@ def _saddle(src_match, tgt_match, n):
     return {(blocks, frozenset()): _ONE}
 
 
-def _letter_slots(n, row, kind, col):
-    """Slot sets per arc of a letter tangle, for Seifert-circle matching.
-
-    kind: "vertical", "horizontal" (the two smoothings / e-letter), with
-    0-based column col (ignored for pure identity rows).
-    """
-    slots = {}
-    if kind == "vertical":
-        for c in range(n):
-            slots[frozenset((c, n + c))] = frozenset(((row - 1, c + 1), (row, c + 1)))
-        return _vertical_match(n), slots
-    m = _horizontal_match(n, col)
-    for c in range(n):
-        if c not in (col, col + 1):
-            slots[frozenset((c, n + c))] = frozenset(((row - 1, c + 1), (row, c + 1)))
-    slots[frozenset((col, col + 1))] = frozenset(((row - 1, col + 1), (row - 1, col + 2)))
-    slots[frozenset((n + col, n + col + 1))] = frozenset(((row, col + 1), (row, col + 2)))
-    return m, slots
-
-
 # ---------------------------------------------------------------------------
 # the scan itself
 
@@ -670,15 +686,8 @@ def scan_word(d: OrientedDiagram, limit=None, track_lee: bool = True, h_window=N
     n = word.strands
     cap = max(generator_limit(limit) // 8, 4096)
     cx = ScanComplex(n, cap)
-    vm = _vertical_match(n)
-    root = cx.add_object((vm, 0), 0, 0)
-
-    # tracked column: morphisms from the oriented-resolution source tangle
-    source = (vm, 0)
-    tracked = {"__source__": source, root: identity_morphism((vm, 0))}
-    # slot bookkeeping for the source tangle
-    src_arc_slots = {frozenset((c, n + c)): frozenset(((0, c + 1),)) for c in range(n)}
-    src_circle_slots = []
+    tracked = TrackedColumn(n)
+    tracked.add(cx.add_object(tracked.source, 0, 0), identity_morphism(tracked.source))
 
     or_choice = d.oriented_choice()
     cidx = 0  # crossing index of the next sigma letter
@@ -686,8 +695,7 @@ def scan_word(d: OrientedDiagram, limit=None, track_lee: bool = True, h_window=N
         lo, hi = h_window
         p = sum(1 for c in d.crossings if c.sign > 0)  # crossings still to come
         m = len(d.crossings) - p
-    for li, letter in enumerate(word.letters):
-        row = li + 1
+    for letter in word.letters:
         if isinstance(letter, int):
             col = abs(letter) - 1
             sign = d.crossings[cidx].sign
@@ -703,16 +711,10 @@ def scan_word(d: OrientedDiagram, limit=None, track_lee: bool = True, h_window=N
             orres = or_choice[cidx]
             cidx += 1
             letter_objects = [((m_a, 0), shifts[0]), ((m_b, 0), shifts[1])]
-            saddle = _saddle(m_a, m_b, n)
-            _tensor_letter(cx, tracked, letter_objects, saddle, orres, n,
-                           src_arc_slots, src_circle_slots, row,
-                           "vertical" if (letter > 0) == (orres == 0) else "horizontal",
-                           col)
+            _tensor_letter(cx, tracked, letter_objects, _saddle(m_a, m_b, n), orres)
         else:
-            col = letter[1] - 1
-            m_e = _horizontal_match(n, col)
-            _tensor_letter(cx, tracked, [((m_e, 0), (0, 0))], None, 0, n,
-                           src_arc_slots, src_circle_slots, row, "horizontal", col)
+            m_e = _horizontal_match(n, letter[1] - 1)
+            _tensor_letter(cx, tracked, [((m_e, 0), (0, 0))], None, 0)
         _deloop_all(cx, tracked)
         _eliminate(cx, tracked)
         if h_window is not None:
@@ -725,11 +727,10 @@ def scan_word(d: OrientedDiagram, limit=None, track_lee: bool = True, h_window=N
                     m -= 1
             _cut_to_window(cx, tracked, lo - p, hi + m)
 
-    return _close_and_reduce(cx, tracked, src_arc_slots, src_circle_slots, n,
-                             len(word.letters), track_lee, limit)
+    return _close_and_reduce(cx, tracked, track_lee)
 
 
-def _cut_to_window(cx: ScanComplex, tracked, lo, hi):
+def _cut_to_window(cx: ScanComplex, tracked: TrackedColumn, lo, hi):
     """Remove the objects of degree outside [lo, hi].
 
     {h >= lo} is a subcomplex and {h > hi} one too (d raises h by one), so
@@ -737,25 +738,24 @@ def _cut_to_window(cx: ScanComplex, tracked, lo, hi):
     in degree 0, so a window that cuts it is an error.
     """
     for uid in [u for u, h in cx.h.items() if not lo <= h <= hi]:
-        if uid in tracked:
+        if uid in tracked.maps:
             raise KhleeError(f"the tracked Lee column reached an object of degree "
                              f"{cx.h[uid]}, outside the scan window [{lo}, {hi}]")
         cx.remove_object(uid)
 
 
-def _tensor_letter(cx: ScanComplex, tracked, letter_objects, saddle, orres, n,
-                   src_arc_slots, src_circle_slots, row, or_kind, col):
-    """Stack a one-letter complex on top of the current complex."""
+def _tensor_letter(cx: ScanComplex, tracked: TrackedColumn, letter_objects, saddle, orres):
+    """Stack a one-letter complex on top of the current complex; the tracked
+    column follows the letter's oriented resolution, letter_objects[orres]."""
+    n = cx.n
     old_objects = dict(cx.obj)
     old_h, old_q = dict(cx.h), dict(cx.q)
     old_out = {u: dict(r) for u, r in cx.out.items()}
-    old_tracked = {u: m for u, m in tracked.items() if u != "__source__"}
-    source = tracked["__source__"]
 
     new_uid = {}
     for uid, obj in old_objects.items():
         for ri, (lobj, (dh, dq)) in enumerate(letter_objects):
-            E, circles, _tr = stacked_objects(obj, lobj, n)
+            E, _circles, _tr = stacked_objects(obj, lobj, n)
             new_uid[(uid, ri)] = cx.add_object(E, old_h[uid] + dh, old_q[uid] + dq)
 
     # differentials: d(x . l) = d(x) . l + (-1)^{h(x)} x . d(l)
@@ -763,14 +763,13 @@ def _tensor_letter(cx: ScanComplex, tracked, letter_objects, saddle, orres, n,
     for uid, rowm in old_out.items():
         for tgt, f in rowm.items():
             for ri, (lobj, _sh) in enumerate(letter_objects):
-                stacked, E1, E2 = stack(f, old_objects[uid], old_objects[tgt],
-                                        letter_idents[ri], lobj, lobj, n)
-                cx.add_entry(new_uid[(uid, ri)], new_uid[(tgt, ri)], stacked)
-    if saddle is not None and len(letter_objects) == 2:
+                cx.add_entry(new_uid[(uid, ri)], new_uid[(tgt, ri)],
+                             stack(f, old_objects[uid], old_objects[tgt],
+                                   letter_idents[ri], lobj, lobj, n))
+    if saddle is not None:
         for uid, obj in old_objects.items():
-            ident = identity_morphism(obj)
-            stacked, E1, E2 = stack(ident, obj, obj,
-                                    saddle, letter_objects[0][0], letter_objects[1][0], n)
+            stacked = stack(identity_morphism(obj), obj, obj,
+                            saddle, letter_objects[0][0], letter_objects[1][0], n)
             if old_h[uid] % 2:
                 stacked = _scale_morphism(stacked, -1)
             cx.add_entry(new_uid[(uid, 0)], new_uid[(uid, 1)], stacked)
@@ -779,149 +778,87 @@ def _tensor_letter(cx: ScanComplex, tracked, letter_objects, saddle, orres, n,
     for uid in old_objects:
         cx.remove_object(uid)
 
-    # source tangle gains the oriented resolution of the letter
+    # push the tracked column through the tensor, then grow its source
     lobj_or = letter_objects[orres][0]
-    lm, lslots = _letter_slots(n, row, or_kind, col)
-    assert lm == lobj_or[0]
-    new_source, circ_src, traces_src = stacked_objects(source, lobj_or, n)
-
-    # update slot bookkeeping
-    new_arc_slots = {}
-    for pair, trace in traces_src:
-        ss = frozenset()
-        for side, arcs in trace:
-            ss |= src_arc_slots[arcs] if side == "O" else lslots[arcs]
-        new_arc_slots[pair] = ss
-    appended = []
-    for mids, trace in circ_src:
-        ss = frozenset()
-        for side, arcs in trace:
-            ss |= src_arc_slots[arcs] if side == "O" else lslots[arcs]
-        appended.append(ss)
-    src_arc_slots.clear()
-    src_arc_slots.update(new_arc_slots)
-    src_circle_slots.extend(appended)
-
-    # push the tracked column through the tensor
     ident_or = identity_morphism(lobj_or)
-    for uid, f in old_tracked.items():
-        stacked, E1, E2 = stack(f, source, old_objects[uid], ident_or,
-                                lobj_or, lobj_or, n)
-        tracked.pop(uid, None)
-        key = new_uid[(uid, orres)]
-        if stacked:
-            tracked[key] = _add_morphism(tracked.get(key, {}), stacked)
-    tracked["__source__"] = new_source
+    old_maps, tracked.maps = tracked.maps, {}
+    for uid, f in old_maps.items():
+        tracked.add(new_uid[(uid, orres)],
+                    stack(f, tracked.source, old_objects[uid], ident_or, lobj_or, lobj_or, n))
+    tracked.extend(lobj_or)
 
 
-def _close_and_reduce(cx: ScanComplex, tracked, src_arc_slots, src_circle_slots,
-                      n, rows, track_lee, limit):
-    """Trace closure, full delooping, final Gaussian reduction."""
-    source = tracked["__source__"]
+def _close_and_reduce(cx: ScanComplex, tracked: TrackedColumn, track_lee):
+    """Trace closure and full delooping: an object with k circles (its own
+    and those of the closure) gives 2^k generators, one per labelling of
+    the circles by 1 and x."""
+    n = cx.n
     gc = GradedComplex()
-    obj_circles = {}
-    for uid, obj in cx.obj.items():
-        obj_circles[uid] = close_object(obj, n)
-
-    # source circle slot sets, in close_morphism's circle order
-    src_closed = close_object(source, n)
-    source_circle_slots = list(src_circle_slots)
-    for circ in src_closed:
-        ss = frozenset()
-        for p in circ:
-            ss |= src_arc_slots[frozenset((p, source[0][p]))]
-        source_circle_slots.append(ss)
-
-    # deloop everything by brute expansion: each object with k circles gives
-    # 2^k generators; morphism entries are evaluated through cap/cup maps.
-    # We reuse the generic machinery by repeatedly delooping a 0-point
-    # "tangle".  Implemented directly here for speed.
+    obj_circles = {uid: close_object(obj, n) for uid, obj in cx.obj.items()}
+    width = {}
     gen_of = {}
     for uid in sorted(cx.obj):
-        k = cx.obj[uid][1] + len(obj_circles[uid])
+        k = width[uid] = cx.obj[uid][1] + len(obj_circles[uid])
         for mask in range(1 << k):
             qshift = sum(1 if not (mask >> j) & 1 else -1 for j in range(k))
-            gid = gc.add_gen(cx.h[uid], cx.q[uid] + qshift)
-            gen_of[(uid, mask)] = gid
+            gen_of[(uid, mask)] = gc.add_gen(cx.h[uid], cx.q[uid] + qshift)
 
-    def closed_entry_maps(fm, src, tgt):
-        """Matrix of the closed morphism over labelings: {(mask_src, mask_tgt):
-        Qt}.  Blocks evaluate through the algebra A = Q[t][x]/(x^2 - t)."""
-        A = cx.obj[src]
-        closed = close_morphism(fm, A, cx.obj[tgt], n, obj_circles[src], obj_circles[tgt])
-        kA = A[1] + len(obj_circles[src])
-        table = {}
-        for (blocks, dotted), coeff in closed.items():
-            # each block: sources S, targets T, dot flag
-            # map: multiply source labels, apply dot, comultiply to targets
-            per_block = []
-            for block in blocks:
-                srcs = sorted(c[1] for c in block if c[0] == "s")
-                tgts = sorted(c[1] for c in block if c[0] == "t")
-                per_block.append((srcs, tgts, block in dotted))
-            # distribute over source label choices
-            for mask_src in range(1 << kA):
-                results = [(0, _ONE)]  # (partial target mask, Qt coeff)
-                ok = True
-                for srcs, tgts, dot in per_block:
-                    # multiply the source labels in A
-                    a, b = _ONE, qt.ZERO  # element a*1 + b*x
-                    for s in srcs:
-                        lab = (mask_src >> s) & 1
-                        if lab == 0:
-                            continue
-                        a, b = qt.shift(b, 1), a  # multiply by x
-                    if dot:
-                        a, b = qt.shift(b, 1), a
-                    # comultiply to len(tgts) outputs: iterate target labels
-                    outs = _comul_many(a, b, len(tgts))
-                    if not outs:
-                        ok = False
-                        break
-                    new_results = []
-                    for tmask_partial, cpart in results:
-                        for labs, cc in outs.items():
-                            tm = tmask_partial
-                            for lab, t in zip(labs, tgts):
-                                if lab:
-                                    tm |= 1 << t
-                            v = qt.mul(cpart, cc)
-                            if v:
-                                new_results.append((tm, v))
-                    results = _merge_results(new_results)
-                    if not results:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                for tmask, cpart in results:
-                    v = qt.mul(cpart, coeff)
-                    if not v:
-                        continue
-                    key = (mask_src, tmask)
-                    s = qt.add(table.get(key, {}), v)
-                    if s:
-                        table[key] = s
-                    else:
-                        table.pop(key, None)
-        return table
-
+    labels = ((_ONE, qt.ZERO), (qt.ZERO, _ONE))  # 1 and x
     for src in sorted(cx.obj):
+        k = width[src]
         for tgt, fm in cx.out[src].items():
-            table = closed_entry_maps(fm, src, tgt)
-            for (ms, mt), poly in table.items():
-                for e, c in poly.items():
-                    gc.add_entry(gen_of[(src, ms)], gen_of[(tgt, mt)], c, e)
+            closed = close_morphism(fm, cx.obj[src], cx.obj[tgt], n,
+                                    obj_circles[src], obj_circles[tgt])
+            for ms in range(1 << k):
+                image = _apply_closed(closed, [labels[(ms >> j) & 1] for j in range(k)])
+                for mt, poly in image.items():
+                    for e, c in poly.items():
+                        gc.add_entry(gen_of[(src, ms)], gen_of[(tgt, mt)], c, e)
 
     src_maps = {}
     if track_lee:
-        for uid, fm in tracked.items():
-            if uid == "__source__":
-                continue
-            src_maps[uid] = close_morphism(fm, source, cx.obj[uid], n,
+        src_closed = close_object(tracked.source, n)
+        for uid, fm in tracked.maps.items():
+            src_maps[uid] = close_morphism(fm, tracked.source, cx.obj[uid], n,
                                            src_closed, obj_circles[uid])
+    return _ScanClosure(gc, gen_of, src_maps, tracked.closed_circle_slots())
 
-    return _ScanClosure(gc, gen_of, src_maps, source_circle_slots)
+
+def _apply_closed(closed, elems):
+    """Evaluate a closed cobordism on a tensor product of elements of
+    A = Q[t][x]/(x^2 - t).
+
+    closed: {(partition, dotted): Qt} from ``close_morphism``; elems: one
+    element (a, b) = a*1 + b*x per source circle.  Each block multiplies the
+    elements on its source circles, times x when it is dotted, and
+    comultiplies the product onto its target circles.  Returns {target label
+    mask: Qt}, with bit j set when target circle j carries x.
+    """
+    out = {}
+    for (blocks, dotted), coeff in closed.items():
+        results = {0: _ONE}  # partial target mask -> Qt
+        for block in blocks:
+            srcs = sorted(c[1] for c in block if c[0] == "s")
+            a, b = elems[srcs[0]] if srcs else (_ONE, qt.ZERO)
+            for s in srcs[1:]:
+                c, d = elems[s]
+                a, b = (qt.add(qt.mul(a, c), qt.shift(qt.mul(b, d), 1)),
+                        qt.add(qt.mul(a, d), qt.mul(b, c)))
+            if block in dotted:
+                a, b = qt.shift(b, 1), a
+            tgts = sorted(c[1] for c in block if c[0] == "t")
+            outs = _comul_many(a, b, len(tgts))
+            new = {}
+            for tm, cpart in results.items():
+                for labs, cc in outs.items():
+                    bits = sum(1 << t for lab, t in zip(labs, tgts) if lab)
+                    _accumulate(new, tm | bits, qt.mul(cpart, cc))
+            results = new
+            if not results:
+                break
+        for tm, cpart in results.items():
+            _accumulate(out, tm, qt.mul(cpart, coeff))
+    return out
 
 
 def _comul_many(a, b, k):
@@ -960,17 +897,6 @@ def _comul_many(a, b, k):
     return result
 
 
-def _merge_results(pairs):
-    acc = {}
-    for tm, c in pairs:
-        s = qt.add(acc.get(tm, {}), c)
-        if s:
-            acc[tm] = s
-        else:
-            acc.pop(tm, None)
-    return list(acc.items())
-
-
 class _ScanClosure:
     """Closed scan output pending Lee-vector evaluation and final reduction."""
 
@@ -981,64 +907,21 @@ class _ScanClosure:
         self.source_circle_slots = source_circle_slots
 
     def lee_vectors(self, circle_sign_of_slotset):
-        """Vectors for s_o and s_obar over the closed complex generators.
+        """Vectors for s_o and s_obar over the closed complex generators: the
+        tracked maps applied to eps*1 + x on each Seifert circle, eps its
+        sign for s_o and minus its sign for s_obar.
 
         circle_sign_of_slotset: function mapping a slot frozenset to +-1."""
         signs = [circle_sign_of_slotset(ss) for ss in self.source_circle_slots]
-        k_src = len(signs)
-        vo = {}
-        vbar = {}
-        for uid, closed in self.src_maps.items():
-            for (blocks, dotted), coeff in closed.items():
-                per_block = []
-                for block in blocks:
-                    srcs = sorted(c[1] for c in block if c[0] == "s")
-                    tgts = sorted(c[1] for c in block if c[0] == "t")
-                    per_block.append((srcs, tgts, block in dotted))
-                for flip, target in ((False, vo), (True, vbar)):
-                    results = [(0, _ONE)]
-                    ok = True
-                    for srcs, tgts, dot in per_block:
-                        a, b = _ONE, qt.ZERO
-                        for s in srcs:
-                            eps = signs[s] * (-1 if flip else 1)
-                            # multiply by (eps*1 + x)
-                            na = qt.add(a if eps > 0 else qt.neg(a), qt.shift(b, 1))
-                            nb = qt.add(a, b if eps > 0 else qt.neg(b))
-                            a, b = na, nb
-                        if dot:
-                            a, b = qt.shift(b, 1), a
-                        outs = _comul_many(a, b, len(tgts))
-                        if not outs:
-                            ok = False
-                            break
-                        new_results = []
-                        for tmask, cpart in results:
-                            for labs, cc in outs.items():
-                                tm = tmask
-                                for lab, t in zip(labs, tgts):
-                                    if lab:
-                                        tm |= 1 << t
-                                v = qt.mul(cpart, cc)
-                                if v:
-                                    new_results.append((tm, v))
-                        results = _merge_results(new_results)
-                        if not results:
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                    for tmask, cpart in results:
-                        v = qt.mul(cpart, coeff)
-                        if not v:
-                            continue
-                        gid = self.gen_of[(uid, tmask)]
-                        s = qt.add(target.get(gid, {}), v)
-                        if s:
-                            target[gid] = s
-                        else:
-                            target.pop(gid, None)
-        return vo, vbar
+        vectors = []
+        for flip in (1, -1):
+            elems = [({0: eps * flip}, _ONE) for eps in signs]
+            vec = {}
+            for uid, closed in self.src_maps.items():
+                for tm, poly in _apply_closed(closed, elems).items():
+                    _accumulate(vec, self.gen_of[(uid, tm)], poly)
+            vectors.append(vec)
+        return tuple(vectors)
 
 
 def scan_levels(dd: OrientedDiagram, chain, limit=None, want_module=True):

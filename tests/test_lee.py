@@ -140,3 +140,22 @@ def test_small_corpus_golden_values():
     for name, want in GOLDEN.items():
         rep = s_invariant(named[name], with_module=False)
         assert (rep.s, rep.s_min, rep.s_max, rep.s_minus, rep.s_plus) == want, name
+
+
+@pytest.mark.parametrize("name", ["trefoil+", "hopf+", "figure8", "Wh+(trefoil+,2)"])
+def test_cycle_check_catches_a_wrong_circle_sign(monkeypatch, name):
+    # one Seifert circle with the wrong Lee sign leaves d(chain) != 0 on an
+    # edge out of the oriented resolution, and the check must say so
+    from khlee.corpus import builtin_diagram
+    from khlee.diagrams import OrientedDiagram
+    from khlee.errors import NotACycle
+
+    seifert_signs = OrientedDiagram.seifert_signs
+
+    def one_flipped(self, res):
+        signs = seifert_signs(self, res)
+        return (-signs[0],) + signs[1:]
+
+    monkeypatch.setattr(OrientedDiagram, "seifert_signs", one_flipped)
+    with pytest.raises(NotACycle, match="not a cycle at t=1"):
+        lee_generator(builtin_diagram(name))

@@ -253,15 +253,61 @@ def test_too_narrow_window_is_caught(monkeypatch):
 def test_window_never_cuts_the_tracked_column():
     # the tracked Lee column lives in degree 0; a cut that reaches it is a
     # hard error, not a silent wrong level
-    from khlee.tlscan import ScanComplex, _cut_to_window, _vertical_match
+    from khlee.tlscan import ScanComplex, TrackedColumn, _cut_to_window, identity_morphism
 
     cx = ScanComplex(2, object_cap=8)
-    obj = (_vertical_match(2), 0)
+    tracked = TrackedColumn(2)
+    obj = tracked.source
     kept = cx.add_object(obj, 0, 0)
     cx.add_object(obj, 2, 0)
-    tracked = {"__source__": obj, kept: {}}
+    tracked.add(kept, identity_morphism(obj))
     _cut_to_window(cx, tracked, -1, 1)
     assert set(cx.obj) == {kept}
     with pytest.raises(KhleeError, match=r"tracked Lee column reached an object of degree 0, "
                                          r"outside the scan window \[1, 1\]"):
         _cut_to_window(cx, tracked, 1, 1)
+
+
+def _closed_scan_with_lee_vectors(d):
+    """Full scan of d's Lee orientation: the closure and (s_o, s_obar)."""
+    from khlee.lee import lee_generator
+    from khlee.tlscan import scan_word
+
+    chain = lee_generator(d)
+    dd = chain.diagram
+    res = dd.resolve(dd.oriented_choice())
+    sign = {slot: eps for circle, eps in zip(res.circles, chain.circle_signs)
+            for slot in circle.slots}
+
+    def sign_of(slots):
+        (eps,) = {sign[slot] for slot in slots if slot in sign}
+        return eps
+
+    closure = scan_word(dd, track_lee=True)
+    return closure, closure.lee_vectors(sign_of)
+
+
+@pytest.mark.parametrize("name", ["trefoil+", "hopf+", "Wh+(trefoil+,2)", "F_2(2)",
+                                  "C_(3,2)(2)", "turnback"])
+def test_closed_evaluator_gives_a_complex_and_lee_cycles(name):
+    # the closed differential and both Lee vectors come from one evaluator of
+    # closed cobordisms; a fault in it breaks d^2 = 0 or the cycle condition
+    from khlee.corpus import builtin_diagram
+    from khlee.cube import specialize_t
+    from khlee.qt import eval_at
+
+    if name == "turnback":
+        d = from_braid(BraidWord(3, (-1, 2, ("e", 1)), (True, False, True)))
+    else:
+        d = builtin_diagram(name)
+    closure, vectors = _closed_scan_with_lee_vectors(d)
+    closure.gc.check_d_squared()
+    at_one = specialize_t(closure.gc, 1)
+    for vec in vectors:
+        vec = {g: eval_at(p, 1) for g, p in vec.items()}
+        assert any(vec.values())
+        image = {}
+        for g, c in vec.items():
+            for tgt, v in at_one.out[g].items():
+                image[tgt] = image.get(tgt, 0) + c * v
+        assert not any(image.values())

@@ -6,11 +6,10 @@ q(target) = q(source) + 4k, so entries are stored as (Fraction, int) pairs.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from .errors import KhleeError
-
-Entry = tuple  # (Fraction coeff, int t-exponent)
 
 
 class GradedComplex:
@@ -75,9 +74,6 @@ class GradedComplex:
         hs = self.gen_h.values()
         return (min(hs), max(hs))
 
-    def entry(self, src: int, tgt: int):
-        return self.out[src].get(tgt)
-
     # -- checks -------------------------------------------------------------------
 
     def check_d_squared(self) -> None:
@@ -97,36 +93,20 @@ class GradedComplex:
         """Homology dimensions over Q after substituting t := value.
 
         Returns {h: dim};  for value == 0 use dims_at_t0 for the (h, q) split.
-        The unit eliminations of ``scan_reduce`` are chain-homotopy
-        equivalences over Q[t], so they survive t := value, and only the
-        small leftover needs ranks.
+        They are read off the Q[t]-module (``smith.homology_qt``) by the
+        universal coefficient theorem: at t = 0 each Q[t]/(t^k) summand adds
+        one dimension at its own h and one at h - 1, and at any other value
+        only the free part survives.
         """
-        from .linalg import rank_of_columns
-        from .reduction import scan_reduce
+        from .smith import homology_qt
 
-        red = scan_reduce(self)
-        v = Fraction(value)
-        hmin, hmax = red.h_range()
-        gens_by_h = {h: red.gens_at(h) for h in range(hmin, hmax + 1)}
-        ranks = {}
-        for h in range(hmin, hmax + 1):
-            idx = {g: i for i, g in enumerate(gens_by_h.get(h + 1, []))}
-            cols = []
-            for src in gens_by_h.get(h, []):
-                col = {}
-                for tgt, (c, e) in red.out[src].items():
-                    cv = c * v**e
-                    if cv:
-                        col[idx[tgt]] = cv
-                if col:
-                    cols.append(col)
-            ranks[h] = rank_of_columns(cols)
-        dims = {}
-        for h in range(hmin, hmax + 1):
-            d = len(gens_by_h.get(h, [])) - ranks.get(h, 0) - ranks.get(h - 1, 0)
-            if d:
-                dims[h] = d
-        return dims
+        summary = homology_qt(self)
+        if value:
+            return summary.dims_t1()
+        dims = Counter()
+        for (h, _q), d in summary.dims_t0().items():
+            dims[h] += d
+        return dict(dims)
 
     def dims_at_t0(self) -> dict:
         """Khovanov specialization: {(h, q): dim} over Q at t = 0.

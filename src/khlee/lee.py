@@ -84,28 +84,28 @@ def _expand_terms(signs) -> dict:
     return terms
 
 
-def _check_cycle_local(d: OrientedDiagram, res, terms) -> None:
+def _check_cycle_local(d: OrientedDiagram, res, signs) -> None:
     """Verify d(chain) = 0 at t = 1 on the edges leaving the oriented
     resolution.  Such an edge merges the two Seifert circles at its
     crossing, which are distinct (``seifert_signs`` gives them opposite
-    signs); the merged circle takes the first one's bit, the others keep
-    theirs."""
+    signs).  The chain is the tensor product of eps_j*1 + x over the
+    circles, so the edge's image is the product of the two merged factors
+    tensored with the others, which are nonzero: the product alone decides."""
     arc2circle = {a: j for j, circle in enumerate(res.circles) for a in circle.arcs}
     for i, cross in enumerate(d.crossings):
         if res.choice[i] != 0:
             continue
         involved = sorted({arc2circle[a] for a in cross.ends})
-        acc = {}
+        acc = [0, 0]  # coefficients of 1 and x
         if len(involved) == 2:
-            j0, j1 = involved
-            rest = ~((1 << j0) | (1 << j1))
-            for mask, c in terms.items():
-                for coeff, _te, lab in FrobeniusData.mul[((mask >> j0) & 1, (mask >> j1) & 1)]:
-                    tm = (mask & rest) | (lab << j0)
-                    acc[tm] = acc.get(tm, 0) + c * coeff
+            e0, e1 = (signs[j] for j in involved)
+            for (a, b), terms in FrobeniusData.mul.items():
+                c = (e0 if a == 0 else 1) * (e1 if b == 0 else 1)
+                for coeff, _te, lab in terms:
+                    acc[lab] += c * coeff
         # ends on one circle: the edge splits it, and no comultiplication
         # of eps*1 + x is zero
-        if len(involved) != 2 or any(v != 0 for v in acc.values()):
+        if len(involved) != 2 or any(acc):
             raise NotACycle(
                 f"Lee chain is not a cycle at t=1 (crossing {i}); this "
                 "signals a circle-sign computation bug")
@@ -124,9 +124,9 @@ def lee_generator(d: OrientedDiagram, orientation=None, verify: bool = True) -> 
     dd = d.reorient(flips) if flips else d
     res = dd.resolve(dd.oriented_choice())
     signs = dd.seifert_signs(res)
-    terms = _expand_terms(signs)
     if verify:
-        _check_cycle_local(dd, res, terms)
+        _check_cycle_local(dd, res, signs)
+    terms = _expand_terms(signs)
     return LeeChain(dd, orientation, tuple(res.choice), tuple(signs), terms)
 
 

@@ -1,4 +1,5 @@
-"""Sparse exact linear algebra over Q (columns as {row index: Fraction})."""
+"""Sparse exact linear algebra over Q for the Lee filtration-level solve
+(columns as {row index: Fraction})."""
 
 from __future__ import annotations
 
@@ -16,22 +17,10 @@ class ColumnSpace:
 
     def insert(self, col) -> bool:
         """Add a column; returns True if it enlarged the span."""
-        col = dict(col)
-        while col:
-            i = min(col)
-            if i in self.lead:
-                piv = self.lead[i]
-                f = col[i] / piv[i]
-                for r, v in piv.items():
-                    nv = col.get(r, Fraction(0)) - f * v
-                    if nv:
-                        col[r] = nv
-                    else:
-                        col.pop(r, None)
-            else:
-                self.lead[i] = col
-                return True
-        return False
+        col = self.reduce(col)
+        if col:
+            self.lead[min(col)] = col
+        return bool(col)
 
     def reduce(self, vec) -> dict:
         """Greedy bottom-up reduction of vec modulo the span.

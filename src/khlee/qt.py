@@ -1,9 +1,9 @@
 """Sparse exact arithmetic in Q[t].
 
 Elements are stored as {exponent: Fraction} with no zero values.  Homogeneity
-of the chain complexes keeps almost every value a single monomial c*t^k, but
-the generic representation costs nothing and is needed transiently (tracked
-Lee vectors, Smith normal form bookkeeping).
+of the chain complexes keeps every differential entry a single monomial
+c*t^k, stored as a (coeff, exponent) pair; this generic representation is
+for the tracked Lee vectors and the tangle scanner's morphism coefficients.
 """
 
 from __future__ import annotations

@@ -1,16 +1,23 @@
-"""Gaussian elimination of invertible differential entries.
+"""Gaussian elimination over Q[t]: the one elimination kernel.
 
-Eliminating an entry c*t^0 (c a nonzero rational, the only units of Q[t]
-that can appear in a homogeneous monomial entry) produces a chain-homotopy
-equivalent complex (D. Bar-Natan, "Fast Khovanov homology computations",
-JKTR 16, 2007).  The retraction is pushed through optional tracked vectors
-so Lee cycles survive the reduction with their homology classes and quantum
-filtration levels intact.
+Every differential entry of a homogeneous complex is a monomial c*t^k.
+``eliminate(out, inc, k)`` clears the entries of exponent k once none of
+lower exponent is left, so its pivot divides its whole row and column.
+
+- At k = 0 the pivots are units (nonzero rationals), and each elimination
+  is a chain-homotopy equivalence (D. Bar-Natan, "Fast Khovanov homology
+  computations", JKTR 16, 2007).  ``scan_reduce`` is this pass, with
+  optional tracked vectors pushed through the retraction so Lee cycles
+  keep their homology classes and quantum filtration levels.
+- At k >= 1 the same row and column updates split off one Q[t]/(t^k)
+  summand per pivot; ``smith._graded_snf`` runs the passes k = 1, 2, ...
+  on what ``scan_reduce`` leaves and reads off the graded Smith form.
 
 The elimination runs on plain dictionaries with Python ``int``
 coefficients, falling back to ``Fraction`` only where a pivot does not
-divide; the result is built once through ``GradedComplex.add_entry``, which
-turns every coefficient back into a ``Fraction``.
+divide; ``scan_reduce`` builds its result once through
+``GradedComplex.add_entry``, which turns every coefficient back into a
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -36,14 +43,12 @@ def _quotient(a, b):
     return _exact(a / b)
 
 
-def scan_reduce(cx: GradedComplex, tracked=None):
-    """Reduce until no invertible (t^0) entry remains.
+def entry_tables(cx: GradedComplex):
+    """(out, inc): every entry of ``cx`` as {src: {tgt: (coeff, texp)}} and
+    {tgt: {src: (coeff, texp)}}, coefficients as exact ints where integral.
 
-    ``tracked`` is a list of vectors {generator id: Qt}; copies are rewritten
-    through each elimination's retraction.  Returns the reduced complex, or
-    (reduced complex, tracked copies) when ``tracked`` is given.  Only the
-    generators of ``cx.out`` and their outgoing entries are read, and ``cx``
-    is not modified.
+    Raises ``KhleeError`` on an entry that breaks homogeneity.  Only the
+    generators of ``cx.out`` and their outgoing entries are read.
     """
     gen_h, gen_q = cx.gen_h, cx.gen_q
     out = {g: {} for g in cx.out}
@@ -58,25 +63,42 @@ def scan_reduce(cx: GradedComplex, tracked=None):
                     f"({gen_h.get(tgt)}, {gen_q.get(tgt)}) with t^{e}")
             ent = (_exact(c), e)
             out[src][tgt] = inc[tgt][src] = shared.setdefault(ent, ent)
+    return out, inc
+
+
+def eliminate(out, inc, k, vectors=()):
+    """Eliminate every c*t^k entry of the tables, which hold none of lower
+    exponent.
+
+    A pivot b -> c0 divides its whole row and column.  Clearing them changes
+    each entry e -> f by -d(e->c0) d(b->f) / d(b->c0), of exponent at least
+    k, and splits (b, c0) off as a summand with homology Q[t]/(t^k) at c0
+    (none when k = 0).  The entries into b and out of c0 vanish in the new
+    basis because d o d = 0, so they are dropped.  ``vectors`` ({generator:
+    Qt}) follow the same change of basis in place.  Returns the eliminated
+    (b, c0) pairs in order.
+    """
     heap = []
     for src, row in out.items():
         for tgt, (_c, e) in row.items():
-            if e == 0:
+            if e == k:
                 heap.append((len(row) * len(inc[tgt]), src, tgt))
     heapq.heapify(heap)
-    vectors = [dict(v) for v in tracked] if tracked else []
+    pairs = []
 
     while heap:
         _, b, c0 = heapq.heappop(heap)
         row_b = out.get(b)
         entry = row_b.get(c0) if row_b is not None else None
-        if entry is None or entry[1] != 0:
+        if entry is None or entry[1] != k:
             continue
         lam = entry[0]
-        # d(b) = lam c0 + sum gamma_f f; each f gets the factor -gamma_f / lam
-        outs = [(f, _quotient(-gc, lam), ge) for f, (gc, ge) in row_b.items() if f != c0]
+        # d(b) = lam t^k c0 + sum gamma_f t^ge f; each f gets the factor
+        # -(gamma_f / lam) t^(ge - k)
+        outs = [(f, _quotient(-gc, lam), ge - k) for f, (gc, ge) in row_b.items()
+                if f != c0]
         ins = [(e, ce) for e, ce in inc[c0].items() if e != b]
-        # retraction on tracked vectors: r(b) = 0, r(c0) = -(1/lam) * sum gamma_f f
+        # retraction on tracked vectors: r(b) = 0, r(c0) = sum of the factors' f
         for v in vectors:
             vc = v.pop(c0, None)
             v.pop(b, None)
@@ -109,12 +131,27 @@ def scan_reduce(cx: GradedComplex, tracked=None):
                 if type(coeff) is not int:
                     coeff = _exact(coeff)
                 row_e[f] = inc[f][e] = (coeff, texp)
-                if texp == 0:
+                if texp == k:
                     heapq.heappush(heap, (len(row_e) * len(inc[f]), e, f))
+        pairs.append((b, c0))
+    return pairs
+
+
+def scan_reduce(cx: GradedComplex, tracked=None):
+    """Reduce until no invertible (t^0) entry remains.
+
+    ``tracked`` is a list of vectors {generator id: Qt}; copies are rewritten
+    through each elimination's retraction.  Returns the reduced complex, or
+    (reduced complex, tracked copies) when ``tracked`` is given.  ``cx`` is
+    not modified.
+    """
+    out, inc = entry_tables(cx)
+    vectors = [dict(v) for v in tracked] if tracked else []
+    eliminate(out, inc, 0, vectors)
 
     red = GradedComplex()
     for g in out:
-        red.add_gen(gen_h[g], gen_q[g], gid=g)
+        red.add_gen(cx.gen_h[g], cx.gen_q[g], gid=g)
     for src, row in out.items():
         for tgt, (c, e) in row.items():
             red.add_entry(src, tgt, c, e)

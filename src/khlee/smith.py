@@ -1,7 +1,9 @@
-"""Graded Smith normal form over Q[t] and the homology module summary.
+"""The homology of a complex as a graded Q[t]-module.
 
-Homogeneity keeps every matrix entry a monomial c*t^k throughout the
-reduction, and the invariant factors are powers of t.  A torsion summand
+``homology_qt`` runs the elimination kernel of ``reduction`` to the end:
+``scan_reduce`` clears the unit (t^0) entries, and ``_graded_snf`` clears
+the rest at exponents k = 1, 2, ...  Homogeneity keeps every entry a
+monomial c*t^k, so the invariant factors are powers of t.  A torsion summand
 Q[t]/(t^k) is reported at the bidegree of the class that generates it (the
 cokernel side); its companion generator at (h-1, q-4k) is what survives in
 the t=0 specialization.
@@ -9,10 +11,12 @@ the t=0 specialization.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+
 from .complexes import GradedComplex
-from .errors import InconsistentModule
-from .reduction import scan_reduce
+from .errors import InconsistentModule, KhleeError
+from .reduction import eliminate, entry_tables, scan_reduce
 
 
 @dataclass
@@ -25,20 +29,15 @@ class HomologySummary:
 
     def dims_t0(self) -> dict:
         """Khovanov (t=0) dimensions implied by the module structure."""
-        dims = {}
-        for h, q in self.free:
-            dims[(h, q)] = dims.get((h, q), 0) + 1
+        dims = Counter(self.free)
         for h, q, k in self.torsion:
-            dims[(h, q)] = dims.get((h, q), 0) + 1
-            dims[(h - 1, q - 4 * k)] = dims.get((h - 1, q - 4 * k), 0) + 1
-        return dims
+            dims[(h, q)] += 1
+            dims[(h - 1, q - 4 * k)] += 1
+        return dict(dims)
 
     def dims_t1(self) -> dict:
         """Lee (t=1) dimensions: only the free part survives."""
-        dims = {}
-        for h, _q in self.free:
-            dims[h] = dims.get(h, 0) + 1
-        return dims
+        return dict(Counter(h for h, _q in self.free))
 
     def free_q_at(self, h: int) -> list:
         return sorted(q for hh, q in self.free if hh == h)
@@ -50,103 +49,26 @@ class HomologySummary:
         }
 
 
-class _SparseMat:
-    """Row- and column-indexed sparse matrix with monomial entries."""
-
-    def __init__(self):
-        self.rows = {}  # r -> {c: (coeff, exp)}
-        self.cols = {}  # c -> {r: (coeff, exp)}
-
-    def set(self, r, c, coeff, exp):
-        if coeff:
-            self.rows.setdefault(r, {})[c] = (coeff, exp)
-            self.cols.setdefault(c, {})[r] = (coeff, exp)
-        else:
-            self.rows.get(r, {}).pop(c, None)
-            self.cols.get(c, {}).pop(r, None)
-
-    def get(self, r, c):
-        return self.rows.get(r, {}).get(c)
-
-    def add(self, r, c, coeff, exp):
-        old = self.get(r, c)
-        if old:
-            if old[1] != exp:
-                raise InconsistentModule("homogeneity broken in SNF")
-            coeff = coeff + old[0]
-        self.set(r, c, coeff, exp)
-
-
 def _graded_snf(cx: GradedComplex) -> HomologySummary:
-    hmin, hmax = cx.h_range()
-    mats = {}
-    for h in range(hmin, hmax + 1):
-        m = _SparseMat()
-        for src in cx.gens_at(h):
-            for tgt, (c, e) in cx.out[src].items():
-                m.set(tgt, src, c, e)
-        mats[h] = m
+    """The graded Smith form of a complex: the kernel's passes k = 1, 2, ...
 
-    free = []
+    Each pivot of the pass at exponent k splits off one Q[t]/(t^k) summand
+    at its target's (h, q); the generators no pass eliminates are the free
+    part.  The passes drop the entries into a pivot's source and out of its
+    target, which is sound only if d o d = 0, so that is checked first.
+    """
+    try:
+        cx.check_d_squared()
+    except KhleeError as e:
+        raise InconsistentModule(f"not a chain complex: {e}") from None
+    out, inc = entry_tables(cx)
     torsion = []
-    prev_pivots = {}  # gen at current degree -> invariant-factor exponent
-    for h in range(hmin, hmax + 2):
-        gens_h = cx.gens_at(h)
-        m = mats.get(h, _SparseMat())
-        nxt = mats.get(h + 1, _SparseMat())
-        for g in prev_pivots:
-            if m.cols.get(g):
-                raise InconsistentModule("pivot target has a nonzero differential")
-        active = set(g for g in gens_h if g not in prev_pivots)
-        pivots = {}
-        while True:
-            best = None
-            for c in active:
-                for r, (_cc, ee) in m.cols.get(c, {}).items():
-                    key = (ee, r, c)
-                    if best is None or key < best:
-                        best = key
-            if best is None:
-                break
-            e0, r0, c0 = best
-            lam = m.cols[c0][r0][0]
-            col_snapshot = [(r, v) for r, v in m.cols[c0].items() if r != r0]
-            row_snapshot = [(c, v) for c, v in m.rows[r0].items() if c != c0]
-            # clear column c0: R_r -= (c1/lam) t^(e1-e0) R_r0
-            for r, (c1, e1) in col_snapshot:
-                f, de = c1 / lam, e1 - e0
-                for c2, (cc, ee) in list(m.rows.get(r0, {}).items()):
-                    m.add(r, c2, -f * cc, ee + de)
-                # mirror on the next matrix: col_{r0} += f t^de col_r
-                for t2 in list(nxt.cols.get(r, {}).keys()):
-                    cc, ee = nxt.cols[r][t2]
-                    nxt.add(t2, r0, f * cc, ee + de)
-            # clear row r0: C_c -= (c1/lam) t^(e1-e0) C_c0
-            for c, (c1, e1) in row_snapshot:
-                f, de = c1 / lam, e1 - e0
-                for r2, (cc, ee) in list(m.cols.get(c0, {}).items()):
-                    m.add(r2, c, -f * cc, ee + de)
-            if set(m.cols.get(c0, {})) != {r0} or set(m.rows.get(r0, {})) != {c0}:
-                raise InconsistentModule("SNF pivot not isolated")
-            pivots[c0] = (r0, e0)
-            active.discard(c0)
-            # retire the pivot row and column
-            m.rows.pop(r0, None)
-            m.cols.pop(c0, None)
-            for c in list(m.cols):
-                m.cols[c].pop(r0, None)
-            for r in list(m.rows):
-                m.rows[r].pop(c0, None)
-        for g in gens_h:
-            if g in prev_pivots:
-                k = prev_pivots[g]
-                if k >= 1:
-                    torsion.append((h, cx.gen_q[g], k))
-                continue
-            if g in pivots:
-                continue  # cancelled against (or torsion at) degree h+1
-            free.append((h, cx.gen_q[g]))
-        prev_pivots = {r0: e0 for _c0, (r0, e0) in pivots.items()}
+    while any(out.values()):
+        k = min(e for row in out.values() for _c, e in row.values())
+        pairs = eliminate(out, inc, k)
+        if k:
+            torsion += [(cx.gen_h[c0], cx.gen_q[c0], k) for _b, c0 in pairs]
+    free = [(cx.gen_h[g], cx.gen_q[g]) for g in out]
     return HomologySummary(sorted(free), sorted(torsion))
 
 

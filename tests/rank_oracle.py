@@ -1,5 +1,6 @@
 """Homology dimensions from ranks over the full complex: the oracle for the
-dimensions that ``GradedComplex`` reads off its reduced complex.
+dimensions that ``GradedComplex`` and ``HomologySummary`` read off the
+elimination kernel's output.
 
 The ranks come from ``khlee.linalg.rank_of_columns`` (an echelon form over
 Q), which shares no code with ``khlee.reduction.scan_reduce``.

@@ -1,8 +1,10 @@
-"""Property-based checks over random braid words."""
+"""Property-based checks over random braid words and random homogeneous
+complexes."""
 
 import hypothesis.strategies as st
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, seed, settings
 
+from khlee.complexes import GradedComplex
 from khlee.cube import build_cube
 from khlee.diagrams import BraidWord, from_braid
 from khlee.errors import OrientationConflict
@@ -10,6 +12,7 @@ from khlee.lee import lee_generator
 from khlee.smith import homology_qt
 
 from rank_oracle import dims_t0_by_rank, dims_t_by_rank
+from snf_oracle import module_by_snf
 
 
 def _closure(word):
@@ -83,6 +86,35 @@ def test_cube_and_module(word):
     assert hs.free_rank() == 2 ** d.n_components
     assert hs.dims_t0() == cube.complex.dims_at_t0() == dims_t0_by_rank(cube.complex)
     assert hs.dims_t1() == cube.complex.dims_at_t(1) == dims_t_by_rank(cube.complex, 1)
+
+
+@st.composite
+def two_term_complexes(draw):
+    """Homogeneous complexes C_0 -> C_1: q-degrees in steps of 4, so a source
+    and a target of q-gap 4k >= 0 may carry an entry c*t^k."""
+    src_q = draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
+    tgt_q = draw(st.lists(st.integers(0, 4), min_size=1, max_size=5))
+    cx = GradedComplex()
+    srcs = [cx.add_gen(0, 4 * q) for q in src_q]
+    tgts = [cx.add_gen(1, 4 * q) for q in tgt_q]
+    for i, q0 in enumerate(src_q):
+        for j, q1 in enumerate(tgt_q):
+            if q1 >= q0:
+                c = draw(st.integers(-2, 2))
+                if c:
+                    cx.add_entry(srcs[i], tgts[j], c, q1 - q0)
+    return cx
+
+
+@seed(20240607)
+@settings(max_examples=200, deadline=None)
+@given(two_term_complexes())
+def test_module_of_two_term_complexes(cx):
+    hs = homology_qt(cx)
+    assert (hs.free, hs.torsion) == module_by_snf(cx)
+    assert hs.dims_t0() == dims_t0_by_rank(cx)
+    assert hs.dims_t1() == cx.dims_at_t(1) == dims_t_by_rank(cx, 1)
+    assert cx.dims_at_t(0) == dims_t_by_rank(cx, 0)
 
 
 @settings(max_examples=15, deadline=None)

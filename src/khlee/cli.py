@@ -140,7 +140,7 @@ def cmd_kh(args):
     d = load_diagram(args)
     cx = deformed_complex(d, args.engine, args.limit)
     summary = homology_qt(cx)
-    dims0 = {f"{h},{q}": v for (h, q), v in sorted(cx.dims_at_t0().items())}
+    dims0 = {f"{h},{q}": v for (h, q), v in sorted(summary.dims_t0().items())}
     _emit(args, {"module": summary.to_dict(), "kh_dims_t0": dims0}, "kh")
     return 0
 

@@ -21,6 +21,7 @@ class GradedComplex:
         self.out = {}  # src -> {tgt: (coeff, texp)}
         self.inc = {}  # tgt -> {src: (coeff, texp)}
         self._next = 0
+        self.pos = None  # gen id -> resolution bitmask, on a cube (build_cube)
 
     # -- construction ---------------------------------------------------------
 
@@ -127,6 +128,7 @@ class GradedComplex:
             t0.gen_h = {g: self.gen_h[g] for g in gens}
             t0.gen_q = dict.fromkeys(gens, q)
             t0.out = {g: {t: ce for t, ce in self.out[g].items() if ce[1] == 0} for g in gens}
+            t0.pos = self.pos
             for h in scan_reduce(t0).gen_h.values():
                 dims[(h, q)] = dims.get((h, q), 0) + 1
         return dims

@@ -50,7 +50,12 @@ def build_cube(d: OrientedDiagram, limit=None, h_window=None) -> CubeComplex:
 
     ``h_window=(lo, hi)`` restricts to resolutions whose homological degree
     lies in [lo, hi]; differentials whose endpoints both lie in the window
-    are included.
+    are included.  The saddle maps are written straight into the complex's
+    ``out``/``inc`` tables, without ``add_entry``: every entry is
+    homogeneous by construction, and ``reduction.entry_tables`` checks h and
+    q again before any reduction reads them.  Each generator's resolution,
+    as a bitmask (bit i: crossing i), goes into ``complex.pos``, which puts
+    the pivots of ``reduction.scan_reduce`` in cube order.
     """
     limit = generator_limit(limit)
     n = d.n_crossings
@@ -87,6 +92,7 @@ def build_cube(d: OrientedDiagram, limit=None, h_window=None) -> CubeComplex:
                 f"(--limit or KHLEE_LIMIT)")
 
     cx = GradedComplex()
+    cx.pos = {}
     gen_of = {}
     for ch in choices:
         arcs_list = circle_arcs[ch]
@@ -94,12 +100,22 @@ def build_cube(d: OrientedDiagram, limit=None, h_window=None) -> CubeComplex:
         w = sum(ch)
         h = h_of(w)
         base_q = w + n_plus - 2 * n_minus
+        bits = sum(b << i for i, b in enumerate(ch))
         for mask in range(1 << k):
             q = base_q + sum(-1 if (mask >> j) & 1 else 1 for j in range(k))
-            gen_of[(ch, mask)] = cx.add_gen(h, q)
+            g = gen_of[(ch, mask)] = cx.add_gen(h, q)
+            cx.pos[g] = bits
 
-    mul = FrobeniusData.mul
-    comul = FrobeniusData.comul
+    # the signed saddle maps, each entry one (Fraction, texp) tuple shared by
+    # the whole cube; a saddle writes each (src, tgt) pair once, so nothing
+    # is summed
+    def signed(table, sign):
+        return {key: [((Fraction(sign * c), te), lab) for c, te, lab in terms]
+                for key, terms in table.items()}
+
+    mul = {sign: signed(FrobeniusData.mul, sign) for sign in (1, -1)}
+    comul = {sign: signed(FrobeniusData.comul, sign) for sign in (1, -1)}
+    out, inc = cx.out, cx.inc
 
     for ch in choices:
         arcs_list = circle_arcs[ch]
@@ -131,29 +147,33 @@ def build_cube(d: OrientedDiagram, limit=None, h_window=None) -> CubeComplex:
             if len(involved) == 2 and len(involved2) == 1:
                 j1, j2 = involved
                 jt = involved2[0]
+                table = mul[sign]
                 for mask in range(1 << k):
                     src = gen_of[(ch, mask)]
+                    row = out[src]
                     base = 0
                     for j, jt2 in carry.items():
                         if (mask >> j) & 1:
                             base |= 1 << jt2
                     la, lb = (mask >> j1) & 1, (mask >> j2) & 1
-                    for coeff, te, lab in mul[(la, lb)]:
-                        tmask = base | (lab << jt)
-                        cx.add_entry(src, gen_of[(ch2, tmask)], sign * coeff, te)
+                    for entry, lab in table[(la, lb)]:
+                        tgt = gen_of[(ch2, base | (lab << jt))]
+                        row[tgt] = inc[tgt][src] = entry
             elif len(involved) == 1 and len(involved2) == 2:
                 j0 = involved[0]
                 jt1, jt2 = involved2
+                table = comul[sign]
                 for mask in range(1 << k):
                     src = gen_of[(ch, mask)]
+                    row = out[src]
                     base = 0
                     for j, jt in carry.items():
                         if (mask >> j) & 1:
                             base |= 1 << jt
                     la = (mask >> j0) & 1
-                    for coeff, te, (l1, l2) in comul[la]:
-                        tmask = base | (l1 << jt1) | (l2 << jt2)
-                        cx.add_entry(src, gen_of[(ch2, tmask)], sign * coeff, te)
+                    for entry, (l1, l2) in table[la]:
+                        tgt = gen_of[(ch2, base | (l1 << jt1) | (l2 << jt2))]
+                        row[tgt] = inc[tgt][src] = entry
             else:
                 raise AssertionError(
                     f"saddle at crossing {i} changed circles by {involved}->{involved2}")

@@ -277,7 +277,8 @@ def run_engine(d: OrientedDiagram, engine, brute, scan, checked):
 
 def deformed_complex(d: OrientedDiagram, engine: str = "auto", limit=None):
     """The deformed complex of d over Q[t], with every unit entry
-    eliminated: brute reduces the full cube, scan the scanner's closure.
+    eliminated: brute reduces the full cube in cube order, scan the
+    scanner's closure.
     ``both`` checks that the two have the same Q[t]-module."""
     return run_engine(
         d, engine,

@@ -9,6 +9,12 @@ lower exponent is left, so its pivot divides its whole row and column.
   computations", JKTR 16, 2007).  ``scan_reduce`` is this pass, with
   optional tracked vectors pushed through the retraction so Lee cycles
   keep their homology classes and quantum filtration levels.
+- Pivots go by least Markowitz count (row length times column length,
+  taken when queued).  On a cube of resolutions ``build_cube`` records
+  each generator's resolution bitmask in ``cx.pos``, and at k = 0 the bit
+  length of pos[src] ^ pos[tgt] goes first: the cube is reduced cone by
+  cone, as in Bar-Natan's local elimination, so fill-in stays inside small
+  sub-cubes.
 - At k >= 1 the same row and column updates split off one Q[t]/(t^k)
   summand per pivot; ``smith._graded_snf`` runs the passes k = 1, 2, ...
   on what ``scan_reduce`` leaves and reads off the graded Smith form.
@@ -66,7 +72,7 @@ def entry_tables(cx: GradedComplex):
     return out, inc
 
 
-def eliminate(out, inc, k, vectors=()):
+def eliminate(out, inc, k, vectors=(), pos=None):
     """Eliminate every c*t^k entry of the tables, which hold none of lower
     exponent.
 
@@ -77,17 +83,21 @@ def eliminate(out, inc, k, vectors=()):
     basis because d o d = 0, so they are dropped.  ``vectors`` ({generator:
     Qt}) follow the same change of basis in place.  Returns the eliminated
     (b, c0) pairs in order.
+
+    ``pos`` ({generator: int}), when given, puts the bit length of
+    pos[b] ^ pos[c0] in front of the Markowitz count in the pivot key.
     """
     heap = []
     for src, row in out.items():
         for tgt, (_c, e) in row.items():
             if e == k:
-                heap.append((len(row) * len(inc[tgt]), src, tgt))
+                rank = (pos[src] ^ pos[tgt]).bit_length() if pos else 0
+                heap.append((rank, len(row) * len(inc[tgt]), src, tgt))
     heapq.heapify(heap)
     pairs = []
 
     while heap:
-        _, b, c0 = heapq.heappop(heap)
+        _, _, b, c0 = heapq.heappop(heap)
         row_b = out.get(b)
         entry = row_b.get(c0) if row_b is not None else None
         if entry is None or entry[1] != k:
@@ -132,7 +142,8 @@ def eliminate(out, inc, k, vectors=()):
                     coeff = _exact(coeff)
                 row_e[f] = inc[f][e] = (coeff, texp)
                 if texp == k:
-                    heapq.heappush(heap, (len(row_e) * len(inc[f]), e, f))
+                    rank = (pos[e] ^ pos[f]).bit_length() if pos else 0
+                    heapq.heappush(heap, (rank, len(row_e) * len(inc[f]), e, f))
         pairs.append((b, c0))
     return pairs
 
@@ -141,13 +152,14 @@ def scan_reduce(cx: GradedComplex, tracked=None):
     """Reduce until no invertible (t^0) entry remains.
 
     ``tracked`` is a list of vectors {generator id: Qt}; copies are rewritten
-    through each elimination's retraction.  Returns the reduced complex, or
-    (reduced complex, tracked copies) when ``tracked`` is given.  ``cx`` is
-    not modified.
+    through each elimination's retraction.  The positions of a cube
+    (``cx.pos``) order the pivots as in ``eliminate``.  Returns the reduced
+    complex, or (reduced complex, tracked copies) when ``tracked`` is given.
+    ``cx`` is not modified.
     """
     out, inc = entry_tables(cx)
     vectors = [dict(v) for v in tracked] if tracked else []
-    eliminate(out, inc, 0, vectors)
+    eliminate(out, inc, 0, vectors, cx.pos)
 
     red = GradedComplex()
     for g in out:

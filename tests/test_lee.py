@@ -159,3 +159,11 @@ def test_cycle_check_catches_a_wrong_circle_sign(monkeypatch, name):
     monkeypatch.setattr(OrientedDiagram, "seifert_signs", one_flipped)
     with pytest.raises(NotACycle, match="not a cycle at t=1"):
         lee_generator(builtin_diagram(name))
+
+
+def test_brute_module_report_matches_scan_on_f2_1():
+    # the module needs the full 45,456-generator cube, reduced in cube order
+    from khlee.corpus import builtin_diagram
+
+    d = builtin_diagram("F_2(1)")
+    assert s_invariant(d, engine="brute").to_dict() == s_invariant(d, engine="scan").to_dict()

@@ -5,12 +5,13 @@ import pytest
 
 from khlee import qt
 from khlee.complexes import GradedComplex
-from khlee.corpus import random_braids, small_corpus
+from khlee.corpus import random_braids, small_corpus, torus_word
 from khlee.cube import build_cube, specialize_t
 from khlee.diagrams import BraidWord, from_braid
 from khlee.errors import KhleeError
 from khlee.reduction import scan_reduce
-from khlee.tlscan import scan_complex
+from khlee.smith import homology_qt
+from khlee.tlscan import scan_complex, scan_levels
 
 from rank_oracle import dims_t0_by_rank, dims_t_by_rank
 
@@ -100,6 +101,57 @@ def test_brute_levels_match_raw_window_solve():
         assert levels == _raw_window_levels(d, chain), d.braid
         compared += 1
     assert compared >= 100
+
+
+def _cube(d, ordered, h_window=None):
+    """The cube of d; without its positions unless ``ordered``, so that
+    ``scan_reduce`` takes its pivots in Markowitz order alone."""
+    cube = build_cube(d, h_window=h_window)
+    if not ordered:
+        cube.complex.pos = None
+    return cube
+
+
+def _window_levels(d, chain, ordered):
+    """The four levels on the reduced (-1, 0) window, its pivots in cube
+    order or in Markowitz order alone."""
+    from khlee.lee import _reduced_levels_from_tracked, lee_vector_in_cube
+
+    cube = _cube(d, ordered, h_window=(-1, 0))
+    vo = {g: qt.mono(c) for g, c in lee_vector_in_cube(chain, cube).items()}
+    vbar = {g: qt.mono(c) for g, c in lee_vector_in_cube(chain.conjugate(), cube).items()}
+    red, (vo, vbar) = scan_reduce(cube.complex, tracked=[vo, vbar])
+    return _reduced_levels_from_tracked(red, vo, vbar)
+
+
+def test_cube_order_keeps_levels_and_modules():
+    # the pivot order changes the leftover complex, so compare values
+    from khlee.lee import lee_generator
+
+    diagrams = [d for _name, d in small_corpus()]
+    diagrams += [from_braid(w) for w in random_braids(count=20, seed=41)]
+    for d in diagrams:
+        ordered, plain = _cube(d, True).complex, _cube(d, False).complex
+        assert homology_qt(ordered) == homology_qt(plain), d.braid
+        assert ordered.dims_at_t0() == plain.dims_at_t0(), d.braid
+        if d.n_components:
+            chain = lee_generator(d)
+            dd = chain.diagram
+            assert _window_levels(dd, chain, True) == _window_levels(dd, chain, False), d.braid
+
+
+def test_cube_order_on_t44_uudd():
+    # the unordered kernel takes about a minute on this window; the scanner
+    # is the oracle here, and the levels are the ones the unordered kernel
+    # gave
+    from khlee.lee import lee_generator
+
+    d = from_braid(BraidWord(4, torus_word(4, 4), (True, True, False, False)))
+    chain = lee_generator(d)
+    dd = chain.diagram
+    levels, module = scan_levels(dd, chain)
+    assert _window_levels(dd, chain, True) == levels == (-4, -4, -4, -2)
+    assert homology_qt(build_cube(dd).complex) == module
 
 
 def test_dims_match_rank_oracle():

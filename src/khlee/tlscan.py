@@ -1,16 +1,38 @@
 """Scanning engine for braid-closure diagrams.
 
 The word is consumed letter by letter.  The state is a chain complex of
-crossingless (n, n)-tangles (planar matchings with grading shifts);
-morphisms are Q[t]-combinations of dotted cobordisms, stored as
-(partition of boundary curves, dotted blocks) basis elements with the
-relations: two dots on a component = t, handle = 2 dots with coefficient 2,
-dotless sphere = 0, dotted sphere = 1.  After each letter the complex is
-delooped and Gaussian-eliminated, which keeps it small even for long torus
-words.  The trace closure at the end turns everything into free
-Q[t]-modules: one evaluator (``_apply_closed``) reads a closed cobordism
-off as a map of tensor powers of A = Q[t][x]/(x^2 - t), for the closed
-differential and for the Lee vectors alike.
+crossingless (n, n)-tangles (planar matchings with grading shifts) whose
+differentials are Q[t]-combinations of dotted cobordisms.  After each
+letter the complex is delooped and Gaussian-eliminated, which keeps it small
+even for long torus words.  The trace closure at the end turns everything
+into free Q[t]-modules.
+
+Morphisms live in the disc basis.  Over Q[t] with x^2 = t a cylinder equals
+a dotted cap over a plain cup plus a plain cap over a dotted cup
+(neck-cutting: D. Bar-Natan, "Khovanov's homology for tangles and
+cobordisms", G&T 9, 2005, section 11.2).  So Hom(A, B) is free on disc
+patterns, one disc per boundary curve of A-bar B, dotted or not, as in
+Khovanov's arc algebra (M. Khovanov, "A functor-valued invariant of
+tangles", AGT 2, 2002).  A morphism is a dict {dot bitmask: Qt}; its bits
+number the curves of A-bar B: A's circles, then B's, then the cycles
+through the boundary points by least point.  The identity of a circle-free
+object is mask 0, and so is a saddle.
+
+Gluing the discs of two morphisms gives a surface whose shape depends only
+on the objects.  ``compose``, ``stack`` and ``close_morphism`` build it once
+per object triple as a ``_Plan``: its connected pieces, the discs of each
+factor in each piece, the piece's result curves and its genus.  A term pair
+then reads its result off the plan with popcounts.  A piece with g handles
+gives 2^g and g more dots; d dots give t^(d // 2) and leave e = d mod 2.  A
+closed piece is 0 for e = 0 and 1 for e = 1.  A piece with r result curves
+neck-cuts to Delta^(r-1)(x^e) in the basis {1, x}: the sum, over the disc
+patterns with u undotted discs and u = 1 - e mod 2, of t^(u // 2).
+
+On the circles of the trace closure a disc pattern is a cap on each source
+circle and a cup on each target circle.  A plain cap is the counit, taking
+x to 1 and 1 to 0; a dotted cap takes 1 to 1 and x to eps(x^2) = 0; a cup's
+dot is its target label.  So each closed disc pattern is one matrix entry
+of the closed complex, with no expansion over labellings.
 
 The canonical Lee cycle survives the whole process through a tracked
 retraction column, a ``TrackedColumn``: morphisms from its ``source``, the
@@ -23,7 +45,6 @@ filtration level of the class.
 
 from __future__ import annotations
 
-import functools
 import heapq
 
 from . import qt
@@ -36,168 +57,165 @@ from .reduction import _exact, _quotient, scan_reduce
 # wherever they are integral; only ``_eliminate`` can divide by a non-unit.
 # ``GradedComplex.add_entry`` and ``scan_reduce`` hand out Fractions again.
 _ONE = {0: 1}
+# Undotted discs on every curve: the identity of a circle-free object, a
+# saddle, and the second factor of a closure, which glues one morphism alone.
+_PLAIN = {0: _ONE}
 
 # ---------------------------------------------------------------------------
-# curve systems of cobordisms between objects (match, ncirc)
+# gluing plans
 
-# One scan of T(5,5) asks for ~1,900 distinct curve systems; the bound keeps
-# a process that runs many scans from growing the cache without limit.
-MATCH_CYCLES_CACHE = 4096
+# Gluing plans, the cycles of two matchings and stackings are pure functions
+# of their objects.  ``_memo`` builds each on first use and keeps it for one
+# scan (``clear_scan_caches`` empties the table when a scan starts), so one
+# scan's time and memory never depend on an earlier one.  Memory sets the
+# bound: the table starts over when it holds MEMO_CACHE results.
+MEMO_CACHE = 8192
 
-
-@functools.lru_cache(maxsize=MATCH_CYCLES_CACHE)
-def match_cycles(m1: tuple, nc1: int, m2: tuple, nc2: int):
-    """Boundary curves of a cobordism (m1, nc1) -> (m2, nc2): cycles of the
-    glued matching graph plus source/target circles.
-
-    Returns (ids, point2cyc); ids are ("b", min point), ("s", i), ("t", j).
-    """
-    seen = set()
-    ids = []
-    point2cyc = {}
-    for p0 in range(len(m1)):
-        if p0 in seen:
-            continue
-        orbit = []
-        p = p0
-        while p not in seen:
-            seen.add(p)
-            q = m1[p]
-            seen.add(q)
-            orbit.append(p)
-            orbit.append(q)
-            p = m2[q]
-        cid = ("b", min(orbit))
-        for p in orbit:
-            point2cyc[p] = cid
-        ids.append(cid)
-    ids.sort(key=lambda c: c[1])
-    ids.extend(("s", i) for i in range(nc1))
-    ids.extend(("t", j) for j in range(nc2))
-    return tuple(ids), point2cyc
-
-
-def identity_morphism(obj):
-    match, ncirc = obj
-    ids, _ = match_cycles(match, ncirc, match, ncirc)
-    blocks = [frozenset((cid,)) for cid in ids if cid[0] == "b"]
-    for i in range(ncirc):
-        blocks.append(frozenset((("s", i), ("t", i))))
-    return {(frozenset(blocks), frozenset()): _ONE}
-
-
-# Gluings and stackings are pure functions of their combinatorial arguments,
-# so they are memoized; both caches are cleared when a scan starts
-# (``clear_scan_caches``).  Memory sets the bounds: a glue entry holds a fresh
-# basis of frozensets (~1.5 kB).  On the scan-braids benchmark, 512 entries
-# keep the peak memory at the unmemoized level and get 50% hits (72% is the
-# unbounded rate, at +15 MB); 256 stackings already give every possible hit.
-GLUE_CACHE = 512
-VCOMP_CACHE = 256
-
-
-def _evaluate_surface(chi, dots, joins, attach):
-    """Glue surface pieces and read the result off as a basis cobordism.
-
-    Piece i has Euler characteristic chi[i] and dots[i] dots (both lists are
-    consumed); joins: (piece, piece, chi cost) seams, 1 for an arc and 0 for
-    a circle; attach: (piece, boundary cycle id) for each boundary curve of
-    the result.  A handle is two dots with a factor 2, two dots are t, and a
-    closed component evaluates to t^((d-1)/2) with d odd and to 0 with d
-    even.  Returns (coeff, t-exponent, (partition, dotted)), or None.
-    """
-    parent = list(range(len(chi)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    for i, j, cost in joins:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            chi[rj] += chi[ri]
-            dots[rj] += dots[ri]
-        chi[rj] -= cost
-    members = {}
-    for piece, cid in attach:
-        members.setdefault(find(piece), []).append(cid)
-
-    coeff = 1
-    texp = 0
-    blocks = []
-    dotted = []
-    for root, c in enumerate(chi):
-        if parent[root] != root:
-            continue
-        boundary = members.get(root, ())
-        genus2 = 2 - c - len(boundary)
-        if genus2 % 2 or genus2 < 0:
-            raise KhleeError("impossible genus in cobordism gluing")
-        g = genus2 // 2
-        d = dots[root] + g
-        coeff <<= g
-        if not boundary:
-            if d % 2 == 0:
-                return None  # sphere with an even number of dots
-            texp += (d - 1) // 2
-            continue
-        texp += d // 2
-        block = frozenset(boundary)
-        blocks.append(block)
-        if d % 2:
-            dotted.append(block)
-    return coeff, texp, (frozenset(blocks), frozenset(dotted))
+_memo_table = {}  # (function, arguments) -> result
 
 
 def clear_scan_caches():
-    """Empty the per-scan memos of ``_glue_pair`` and ``vcomp``."""
-    _glue_pair.cache_clear()
-    vcomp.cache_clear()
+    """Empty the per-scan memo of plans, cycles and stackings."""
+    _memo_table.clear()
 
 
-@functools.lru_cache(maxsize=GLUE_CACHE)
-def _glue_pair(pf, df, pg, dg, seams, result_members):
-    """Glue two basis cobordisms along seams.
+def _memo(fn, *args):
+    """fn(*args), computed the first time it is asked for in this scan."""
+    key = (fn, args)
+    value = _memo_table.get(key)
+    if value is None:
+        value = fn(*args)
+        if len(_memo_table) >= MEMO_CACHE:
+            _memo_table.clear()
+        _memo_table[key] = value
+    return value
 
-    seams: tuple of (f cycle id, g cycle id, chi cost); result_members: tuple
-    of (result cycle id, "F"/"G", side cycle id).  Returns (coeff, t-exponent,
-    (partition, dotted)), the glued basis times coeff * t^exponent, or None
-    when a closed component dies.
+
+def _cycles(m1, m2):
+    """The cycles of matchings m1 and m2 glued along their points: (least
+    point of each cycle, cycle of each point), numbered by least point."""
+    cyc = [-1] * len(m1)
+    least = []
+    for p0 in range(len(m1)):
+        if cyc[p0] < 0:
+            p = p0
+            while cyc[p] < 0:
+                q = m1[p]
+                cyc[p] = cyc[q] = len(least)
+                p = m2[q]
+            least.append(p0)
+    return least, cyc
+
+
+def _fan(bits, e):
+    """Delta^(r-1)(x^e) on the curves ``bits``: (dotted mask, t exponent) of
+    each disc pattern with u undotted discs, u = 1 - e mod 2, at t^(u // 2)."""
+    patterns = [(0, 0)]  # (dotted mask, undotted count)
+    for b in bits:
+        patterns = [(m | 1 << b, u) for m, u in patterns] + [(m, u + 1) for m, u in patterns]
+    return tuple((m, u // 2) for m, u in patterns if (u + e) % 2)
+
+
+class _Plan:
+    """The surface glued from the discs of two morphisms F and G.
+
+    A term pair is one key: F's dot mask, then G's shifted by ``shift``.
+    Each piece of the surface is (mask of its discs in the key, genus, ...):
+    ``closed`` pieces have no result curve, ``single`` ones one (its bit), and
+    ``fans`` several (their bits, for ``_fan``).
+    ``scale`` is 2 to the total genus.
     """
-    nf = len(pf)
-    lookF = {cid: i for i, block in enumerate(pf) for cid in block}
-    lookG = {cid: nf + j for j, block in enumerate(pg) for cid in block}
-    chi = [2 - len(block) for block in pf] + [2 - len(block) for block in pg]
-    dots = [1 if block in df else 0 for block in pf] + [1 if block in dg else 0 for block in pg]
-    joins = [(lookF[fcid], lookG[gcid], cost) for fcid, gcid, cost in seams]
-    attach = [(lookF[scid] if side == "F" else lookG[scid], rcid)
-              for rcid, side, scid in result_members]
-    return _evaluate_surface(chi, dots, joins, attach)
 
+    __slots__ = ("shift", "scale", "closed", "single", "fans")
 
-def _bilinear(fm, gm, seams, result_members):
-    out = {}
-    for (pf, df), cf in fm.items():
-        for (pg, dg), cg in gm.items():
-            glued = _glue_pair(pf, df, pg, dg, seams, result_members)
-            if glued is None:
+    def __init__(self, nf, ng, seams, attach):
+        """Discs 0..nf-1 are F's and nf..nf+ng-1 G's; a seam (disc, disc,
+        chi cost) glues along an arc (cost 1) or a circle (0); attach[i] is
+        the disc on result curve i."""
+        n = nf + ng
+        root = list(range(n))  # union-find over the discs
+        cost = [0] * n  # seam cost per root
+        for i, j, c in seams:
+            while root[i] != i:
+                i = root[i]
+            while root[j] != j:
+                j = root[j]
+            if i != j:
+                root[i] = j
+                cost[j] += cost[i]
+            cost[j] += c
+        mask = [0] * n
+        for x in range(n):
+            r = x
+            while root[r] != r:
+                r = root[r]
+            root[x] = r
+            mask[r] |= 1 << x
+        curves = {}
+        for bit, x in enumerate(attach):
+            curves.setdefault(root[x], []).append(bit)
+        self.shift, self.closed, self.single, self.fans = nf, [], [], []
+        handles = 0
+        for r in range(n):
+            if root[r] != r:
                 continue
-            coeff, texp, basis = glued
-            acc = out.get(basis)
-            if acc is None:
-                acc = out[basis] = {}
-            for e1, c1 in cf.items():
-                for e2, c2 in cg.items():
-                    e = e1 + e2 + texp
-                    s = acc.get(e, 0) + c1 * c2 * coeff
-                    if s:
-                        acc[e] = s
-                    else:
-                        del acc[e]
-            if not acc:
-                del out[basis]
+            bits = curves.get(r, ())
+            genus2 = 2 - (mask[r].bit_count() - cost[r]) - len(bits)  # 2 - chi - r
+            if genus2 % 2 or genus2 < 0:
+                raise KhleeError("impossible genus in cobordism gluing")
+            g = genus2 // 2
+            handles += g
+            if not bits:
+                self.closed.append((mask[r], g))
+            elif len(bits) == 1:
+                self.single.append((mask[r], g, 1 << bits[0]))
+            else:
+                self.fans.append((mask[r], g, bits))
+        self.scale = 1 << handles
+
+    def glue(self, key):
+        """The term pair ``key`` glued: [(result mask, t exponent)], each
+        with the coefficient ``scale``."""
+        texp = 0
+        for mask, g in self.closed:
+            d = (key & mask).bit_count() + g
+            if not d & 1:
+                return ()
+            texp += d >> 1
+        rmask = 0
+        for mask, g, bit in self.single:
+            d = (key & mask).bit_count() + g
+            texp += d >> 1
+            if d & 1:
+                rmask |= bit
+        terms = [(rmask, texp)]
+        for mask, g, bits in self.fans:
+            d = (key & mask).bit_count() + g
+            half = d >> 1
+            terms = [(m | fm, e + fe + half) for m, e in terms for fm, fe in _fan(bits, d & 1)]
+        return terms
+
+
+def _bilinear(plan, fmorph, gmorph):
+    """The sum of every term pair of the two morphisms, glued by ``plan``."""
+    out = {}
+    shift, scale = plan.shift, plan.scale
+    for fm, cf in fmorph.items():
+        for gm, cg in gmorph.items():
+            for rm, texp in plan.glue(fm | gm << shift):
+                acc = out.get(rm)
+                if acc is None:
+                    acc = out[rm] = {}
+                for e1, c1 in cf.items():
+                    for e2, c2 in cg.items():
+                        e = e1 + e2 + texp
+                        s = acc.get(e, 0) + c1 * c2 * scale
+                        if s:
+                            acc[e] = s
+                        else:
+                            del acc[e]
+                if not acc:
+                    del out[rm]
     return out
 
 
@@ -222,169 +240,117 @@ def _scale_morphism(m, c):
     return {basis: {e: _exact(v * c) for e, v in p.items()} for basis, p in m.items()}
 
 
+def identity_morphism(obj):
+    """A strip per arc, and per circle the neck-cut cylinder: a dotted cap
+    with a plain cup plus a plain cap with a dotted cup."""
+    nc = obj[1]
+    return {sum(1 << (i + (nc if up >> i & 1 else 0)) for i in range(nc)): _ONE
+            for up in range(1 << nc)}
+
+
 def compose(fm, A, B, gm, C):
     """g after f, for f: A -> B and g: B -> C."""
-    mA, ncA = A
-    mB, ncB = B
-    mC, ncC = C
-    _, p2cF = match_cycles(mA, ncA, mB, ncB)
-    _, p2cG = match_cycles(mB, ncB, mC, ncC)
-    cyR_ids, _ = match_cycles(mA, ncA, mC, ncC)
+    return _bilinear(_memo(_compose_plan, A, B, C), fm, gm)
 
-    seams = []
-    for p in range(len(mB)):
-        if p < mB[p]:
-            seams.append((p2cF[p], p2cG[p], 1))
-    for i in range(ncB):
-        seams.append((("t", i), ("s", i), 0))
 
-    result_members = []
-    for rcid in cyR_ids:
-        if rcid[0] == "b":
-            result_members.append((rcid, "F", p2cF[rcid[1]]))
-        elif rcid[0] == "s":
-            result_members.append((rcid, "F", rcid))
-        else:
-            result_members.append((rcid, "G", rcid))
-    return _bilinear(fm, gm, tuple(seams), tuple(result_members))
+def _compose_plan(A, B, C):
+    """The discs of f: A -> B and g: B -> C meet along B's arcs and circles."""
+    (mA, ncA), (mB, ncB), (mC, ncC) = A, B, C
+    leastF, cF = _memo(_cycles, mA, mB)
+    leastG, cG = _memo(_cycles, mB, mC)
+    f0 = ncA + ncB  # f's first cycle
+    nf = f0 + len(leastF)
+    g0 = nf + ncB + ncC  # g's first cycle
+    seams = [(f0 + cF[p], g0 + cG[p], 1) for p in range(len(mB)) if p < mB[p]]
+    seams += [(ncA + i, nf + i, 0) for i in range(ncB)]
+    attach = list(range(ncA)) + [nf + ncB + j for j in range(ncC)]
+    attach += [f0 + cF[p] for p in _memo(_cycles, mA, mC)[0]]
+    return _Plan(nf, g0 + len(leastG) - nf, seams, attach)
+
+
+def stack(fm, A, B, gm, C, D):
+    """Tensor f: A -> B (below) with g: C -> D (above).
+
+    The result runs from A.C to B.D; composite circle order is [lower's,
+    upper's, new by min middle column].
+    """
+    return _bilinear(_memo(_stack_plan, A, B, C, D), fm, gm)
+
+
+def _stack_plan(A, B, C, D):
+    """The discs of f: A -> B and g: C -> D meet along the n middle points."""
+    (mA, ncA), (mB, ncB), (mC, ncC), (mD, ncD) = A, B, C, D
+    n = len(mA) // 2
+    leastF, cF = _memo(_cycles, mA, mB)
+    leastG, cG = _memo(_cycles, mC, mD)
+    f0 = ncA + ncB
+    nf = f0 + len(leastF)
+    g0 = nf + ncC + ncD
+    (m1, _), least1 = stacked_objects(A, C)
+    (m2, _), least2 = stacked_objects(B, D)
+    seams = [(f0 + cF[n + c], g0 + cG[c], 1) for c in range(n)]
+    attach = list(range(ncA)) + [nf + i for i in range(ncC)]
+    attach += [f0 + cF[n + c] for c in least1]
+    attach += [ncA + j for j in range(ncB)] + [nf + ncC + j for j in range(ncD)]
+    attach += [f0 + cF[n + c] for c in least2]
+    attach += [f0 + cF[p] if p < n else g0 + cG[p] for p in _memo(_cycles, m1, m2)[0]]
+    return _Plan(nf, g0 + len(leastG) - nf, seams, attach)
 
 
 # ---------------------------------------------------------------------------
 # stacking (vertical tangle composition)
 
 
-@functools.lru_cache(maxsize=VCOMP_CACHE)
-def vcomp(mO: tuple, mP: tuple, n: int):
-    """Stack tangle P on top of tangle O (both on n strands).
+def vcomp(mO, mP):
+    """Stack tangle P on top of tangle O (matchings of the same 2n points).
 
-    Returns (match, circles, arc_traces) where circles is a tuple of
-    (middle-column set, trace) for newly closed loops and arc_traces pairs
-    each outer arc (frozenset pair) with its tuple of ("O"/"P", point pair)
-    constituents.  Result points: bottom 0..n-1 = O's bottom, top n..2n-1 =
-    P's top.
+    Returns (match, least, arcs, loops): the composite matching, whose
+    points are O's bottom 0..n-1 and P's top n..2n-1; the least middle
+    column of each loop closed in between, in increasing order; and the
+    arcs of O and P that make each composite arc (by either endpoint) and
+    each loop, as (0 for O or 1 for P, point on that arc) pairs.
     """
-
-    def step(side, p):
-        """One arc traversal; returns (next side, next point, trace, done)."""
-        if side == "O":
-            q = mO[p]
-            tr = ("O", frozenset((p, q)))
-            if q >= n:
-                return "P", q - n, tr, False  # cross the middle seam
-            return "out", q, tr, True  # exits at the bottom
-        q = mP[p]
-        tr = ("P", frozenset((p, q)))
-        if q < n:
-            return "O", q + n, tr, False
-        return "out", q, tr, True  # exits at the top (ids already n..2n-1)
-
-    match = {}
-    arc_traces = {}
-    visited_mid = set()
-    claimed = set()
-    starts = [("O", p, p) for p in range(n)] + [("P", p, p) for p in range(n, 2 * n)]
-    for side0, p0, rid0 in starts:
-        if rid0 in claimed:
+    n = len(mO) // 2
+    match = [-1] * (2 * n)
+    arcs = [()] * (2 * n)
+    mid = [False] * n  # middle columns passed
+    for start in range(2 * n):
+        if match[start] >= 0:
             continue
-        side, p = side0, p0
+        in_o, p = start < n, start  # up through O from the bottom, or down through P
         trace = []
         while True:
-            nside, np_, tr, done = step(side, p)
-            trace.append(tr)
-            if done:
-                rid1 = np_
-                break
-            side, p = nside, np_
-            visited_mid.add(p if side == "P" else p - n)
-        match[rid0] = rid1
-        match[rid1] = rid0
-        claimed.add(rid0)
-        claimed.add(rid1)
-        arc_traces[frozenset((rid0, rid1))] = tuple(trace)
-
-    circles = []
-    for c in range(n):
-        if c in visited_mid:
-            continue
-        mids = {c}
-        visited_mid.add(c)
-        trace = []
-        side, p = "P", c
-        while True:
-            nside, np_, tr, done = step(side, p)
-            assert not done, "a closed loop escaped to the boundary"
-            trace.append(tr)
-            side, p = nside, np_
-            mid = p if side == "P" else p - n
-            if side == "P" and p == c:
-                break
-            mids.add(mid)
-            visited_mid.add(mid)
-    # note: the loop above always terminates because the walk is a closed orbit
-        circles.append((frozenset(mids), tuple(trace)))
-    circles.sort(key=lambda ct: min(ct[0]))
-    mt = tuple(match[i] for i in range(2 * n))
-    return mt, tuple(circles), tuple(arc_traces.items())
-
-
-def stacked_objects(O, P, n):
-    """(match, ncirc) of the vertical composite, plus the new circles and
-    the arc traces of ``vcomp``."""
-    mO, ncO = O
-    mP, ncP = P
-    m, circles, traces = vcomp(mO, mP, n)
-    return (m, ncO + ncP + len(circles)), circles, traces
-
-
-def stack(fm, A, B, gm, C, D, n):
-    """Tensor f: A -> B (below) with g: C -> D (above).
-
-    The result runs from A.C to B.D; composite circle order is [lower's,
-    upper's, new by min middle column].
-    """
-    mA, ncA = A
-    mC, ncC = C
-    mB, ncB = B
-    mD, ncD = D
-    _, p2cF = match_cycles(mA, ncA, mB, ncB)
-    _, p2cG = match_cycles(mC, ncC, mD, ncD)
-    E1, circ1, _ = stacked_objects(A, C, n)
-    E2, circ2, _ = stacked_objects(B, D, n)
-    cyR_ids, _ = match_cycles(E1[0], E1[1], E2[0], E2[1])
-
-    seams = [(p2cF[n + c], p2cG[c], 1) for c in range(n)]
-
-    def src_ref(i):
-        if i < ncA:
-            return ("F", ("s", i))
-        if i < ncA + ncC:
-            return ("G", ("s", i - ncA))
-        mids, _tr = circ1[i - ncA - ncC]
-        return ("F", p2cF[n + min(mids)])
-
-    def tgt_ref(j):
-        if j < ncB:
-            return ("F", ("t", j))
-        if j < ncB + ncD:
-            return ("G", ("t", j - ncB))
-        mids, _tr = circ2[j - ncB - ncD]
-        return ("F", p2cF[n + min(mids)])
-
-    result_members = []
-    for rcid in cyR_ids:
-        if rcid[0] == "b":
-            p = rcid[1]
-            if p < n:
-                result_members.append((rcid, "F", p2cF[p]))
+            q = (mO if in_o else mP)[p]
+            trace.append((0 if in_o else 1, p))
+            if in_o and q >= n:  # O's top: on into P at column q - n
+                mid[q - n], in_o, p = True, False, q - n
+            elif not in_o and q < n:  # P's bottom: on into O at column q
+                mid[q], in_o, p = True, True, n + q
             else:
-                result_members.append((rcid, "G", p2cG[p]))
-        elif rcid[0] == "s":
-            side, ref = src_ref(rcid[1])
-            result_members.append((rcid, side, ref))
-        else:
-            side, ref = tgt_ref(rcid[1])
-            result_members.append((rcid, side, ref))
-    return _bilinear(fm, gm, tuple(seams), tuple(result_members))
+                break
+        match[start], match[q] = q, start
+        arcs[start] = arcs[q] = tuple(trace)
+    least, loops = [], []
+    for c in range(n):
+        if not mid[c]:
+            least.append(c)
+            trace, d = [], c
+            while True:
+                e = mP[d]
+                mid[d] = mid[e] = True
+                trace += [(1, d), (0, n + e)]
+                d = mO[n + e] - n
+                if d == c:
+                    break
+            loops.append(tuple(trace))
+    return tuple(match), tuple(least), tuple(arcs), tuple(loops)
+
+
+def stacked_objects(O, P):
+    """P on top of O: the composite object, its circles ordered [O's, P's,
+    new], and the least middle column of each new circle."""
+    m, least, _arcs, _loops = _memo(vcomp, O[0], P[0])
+    return (m, O[1] + P[1] + len(least)), least
 
 
 # ---------------------------------------------------------------------------
@@ -412,35 +378,32 @@ def close_object(obj, n):
     return circles
 
 
-def close_morphism(fm, A, B, n, ciA, ciB):
-    """The trace-closure functor on morphisms; ciA and ciB are the closure
-    circles of A and B (``close_object``).
+def close_morphism(fm, A, B):
+    """The trace-closure functor on morphisms, into the disc basis of the
+    closed objects' circles: A's, then B's, each ordered [own circles] +
+    [closure circles by min point] (``close_object``)."""
+    return _bilinear(_memo(_close_plan, A, B), fm, _PLAIN)
 
-    Resulting objects are circle collections, ordered [own circles] +
-    [closure circles by min point].
-    """
-    mA, ncA = A
-    mB, ncB = B
-    _, p2cF = match_cycles(mA, ncA, mB, ncB)
 
-    seams = [(p2cF[c], p2cF[n + c]) for c in range(n)]
-    boundary = [(("s", i), ("s", i)) for i in range(ncA)]
-    boundary += [(("s", ncA + k), p2cF[min(circ)]) for k, circ in enumerate(ciA)]
-    boundary += [(("t", j), ("t", j)) for j in range(ncB)]
-    boundary += [(("t", ncB + k), p2cF[min(circ)]) for k, circ in enumerate(ciB)]
+def _close_plan(A, B):
+    """The discs of f: A -> B meet along the seams from point c to n + c."""
+    (mA, ncA), (mB, ncB) = A, B
+    n = len(mA) // 2
+    least, cyc = _memo(_cycles, mA, mB)
+    f0 = ncA + ncB
+    seams = [(f0 + cyc[c], f0 + cyc[n + c], 1) for c in range(n)]
+    attach = list(range(ncA)) + [f0 + cyc[min(c)] for c in close_object(A, n)]
+    attach += [ncA + j for j in range(ncB)] + [f0 + cyc[min(c)] for c in close_object(B, n)]
+    return _Plan(f0 + len(least), 0, seams, attach)
 
-    out = {}
-    for (pf, df), cf in fm.items():
-        lookF = {cid: i for i, block in enumerate(pf) for cid in block}
-        glued = _evaluate_surface([2 - len(block) for block in pf],
-                                  [1 if block in df else 0 for block in pf],
-                                  [(lookF[a], lookF[b], 1) for a, b in seams],
-                                  [(lookF[fcid], rcid) for rcid, fcid in boundary])
-        if glued is None:
-            continue
-        coeff, texp, basis = glued
-        _accumulate(out, basis, {e + texp: v * coeff for e, v in cf.items()})
-    return out
+
+def _closed_entries(closed, k):
+    """The matrix of a closed morphism with k source circles: one (source
+    labels, target labels, Qt) per disc pattern, with bit j set for label x.
+    A plain cap takes x to 1, a dotted cap takes 1 to 1 (and both kill the
+    other label), and a cup's dot is its target label."""
+    full = (1 << k) - 1
+    return [(full ^ (rm & full), rm >> k, poly) for rm, poly in closed.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -491,15 +454,15 @@ class ScanComplex:
             self.inc[tgt].pop(src, None)
 
     def add_entry(self, src, tgt, morphism):
-        cur = self.out[src].get(tgt, {})
-        self.set_entry(src, tgt, _add_morphism(cur, morphism))
+        cur = self.out[src].get(tgt)
+        self.set_entry(src, tgt, _add_morphism(cur, morphism) if cur else morphism)
 
 
 class TrackedColumn:
     """The tracked Lee column: ``maps`` sends object uids to morphisms from
     ``source``, the oriented-resolution tangle of the scanned prefix.
 
-    ``arc_slots`` (arc point pair -> slot set) and ``circle_slots`` (one slot
+    ``arc_slots`` (either endpoint of an arc -> slot set) and ``circle_slots`` (one slot
     set per closed source circle, in order of creation) record which slots
     (row, column) of the braid diagram each piece of the source covers.
     """
@@ -509,7 +472,7 @@ class TrackedColumn:
         self.source = (_vertical_match(n), 0)
         self.maps = {}
         self.rows = 0
-        self.arc_slots = {frozenset((c, n + c)): frozenset(((0, c + 1),)) for c in range(n)}
+        self.arc_slots = {p: frozenset(((0, p % n + 1),)) for p in range(2 * n)}
         self.circle_slots = []
 
     def add(self, uid, morphism):
@@ -526,35 +489,33 @@ class TrackedColumn:
         n = self.n
         self.rows += 1
         slot = [(self.rows - 1, c + 1) for c in range(n)] + [(self.rows, c + 1) for c in range(n)]
-        lslots = {frozenset((p, q)): frozenset((slot[p], slot[q])) for p, q in enumerate(lobj[0])}
+        lslots = [frozenset((slot[p], slot[q])) for p, q in enumerate(lobj[0])]
+        match, least, arcs, loops = _memo(vcomp, self.source[0], lobj[0])
 
         def slots(trace):
-            return frozenset().union(*((self.arc_slots if side == "O" else lslots)[arcs]
-                                       for side, arcs in trace))
+            return frozenset().union(*((lslots if side else self.arc_slots)[p] for side, p in trace))
 
-        self.source, circles, traces = stacked_objects(self.source, lobj, n)
-        self.circle_slots += [slots(trace) for _mids, trace in circles]
-        self.arc_slots = {pair: slots(trace) for pair, trace in traces}
+        self.source = (match, self.source[1] + len(least))
+        self.circle_slots += [slots(trace) for trace in loops]
+        self.arc_slots = {p: slots(trace) for p, trace in enumerate(arcs)}
 
     def closed_circle_slots(self):
         """Slot sets of the source's circles after the trace closure, in
         ``close_morphism``'s order: own circles, then closure circles."""
-        match = self.source[0]
         return self.circle_slots + [
-            frozenset().union(*(self.arc_slots[frozenset((p, match[p]))] for p in circ))
+            frozenset().union(*(self.arc_slots[p] for p in circ))
             for circ in close_object(self.source, self.n)]
 
 
 def _is_unit_entry(cx: ScanComplex, src, tgt):
-    """Entry equal to lambda * identity with lambda a nonzero rational."""
+    """Entry equal to lambda * identity with lambda a nonzero rational.
+
+    Objects are circle-free here, so the identity is the one term of mask 0.
+    """
     if cx.obj[src] != cx.obj[tgt] or cx.q[src] != cx.q[tgt]:
         return None
     m = cx.out[src][tgt]
-    if len(m) != 1:
-        return None
-    ident = identity_morphism(cx.obj[src])
-    (basis,) = ident.keys()
-    c = m.get(basis)
+    c = m.get(0) if len(m) == 1 else None
     if c is None or len(c) != 1 or 0 not in c:
         return None
     return c[0]
@@ -599,44 +560,36 @@ def _eliminate(cx: ScanComplex, tracked: TrackedColumn):
 
 
 def _deloop_all(cx: ScanComplex, tracked: TrackedColumn):
-    """Split every object containing circles via the delooping isomorphism."""
-    queue = [uid for uid, (m, nc) in cx.obj.items() if nc > 0]
-    while queue:
-        uid = queue.pop()
-        if uid not in cx.obj:
-            continue
-        match, nc = cx.obj[uid]
-        if nc == 0:
-            continue
-        j = nc - 1  # deloop the last circle; earlier indices keep their names
-        inner = (match, nc)
-        outer = (match, nc - 1)
-        # cap / cup morphisms between inner and outer: outer's identity plus
-        # a disc on circle j
-        ((base, _),) = identity_morphism(outer)
-        cap, cup = frozenset((("s", j),)), frozenset((("t", j),))
-        p_plus = {(base | {cap}, frozenset((cap,))): _ONE}   # dotted cap
-        p_minus = {(base | {cap}, frozenset()): _ONE}        # plain cap
-        i_plus = {(base | {cup}, frozenset()): _ONE}         # plain cup
-        i_minus = {(base | {cup}, frozenset((cup,))): _ONE}  # dotted cup
-
+    """Deloop every object with circles.  A circle is the empty set shifted
+    by q + 1 (through a dotted cap and a plain cup) plus the empty set shifted
+    by q - 1 (a plain cap and a dotted cup), so an object with k circles
+    splits into 2^k circle-free copies, one per set ``up`` of circles taking
+    q + 1."""
+    for uid in [u for u, (_m, nc) in cx.obj.items() if nc]:
+        match, k = cx.obj[uid]
         h, q = cx.h[uid], cx.q[uid]
-        up = cx.add_object(outer, h, q + 1)
-        dn = cx.add_object(outer, h, q - 1)
-        for src, m_in in list(cx.inc[uid].items()):
-            cx.add_entry(src, up, compose(m_in, cx.obj[src], inner, p_plus, outer))
-            cx.add_entry(src, dn, compose(m_in, cx.obj[src], inner, p_minus, outer))
-        for tgt, m_out in list(cx.out[uid].items()):
-            cx.add_entry(up, tgt, compose(i_plus, outer, inner, m_out, cx.obj[tgt]))
-            cx.add_entry(dn, tgt, compose(i_minus, outer, inner, m_out, cx.obj[tgt]))
-        t = tracked.maps.pop(uid, None)
-        if t:
-            tracked.add(up, compose(t, tracked.source, inner, p_plus, outer))
-            tracked.add(dn, compose(t, tracked.source, inner, p_minus, outer))
+        ins, outs = list(cx.inc[uid].items()), list(cx.out[uid].items())
+        tm = tracked.maps.pop(uid, None)
         cx.remove_object(uid)
-        if nc - 1 > 0:
-            queue.append(up)
-            queue.append(dn)
+        for up in range(1 << k):
+            new = cx.add_object((match, 0), h, q + 2 * up.bit_count() - k)
+            down = (1 << k) - 1 ^ up
+            for src, m_in in ins:
+                cx.set_entry(src, new, _cap_circles(m_in, cx.obj[src][1], k, down))
+            for tgt, m_out in outs:
+                cx.set_entry(new, tgt, _cap_circles(m_out, 0, k, up))
+            if tm:
+                tracked.add(new, _cap_circles(tm, tracked.source[1], k, down))
+
+
+def _cap_circles(m, pos, k, dots):
+    """Cap (or cup) the k circles whose discs are bits pos.. of m.  A sphere
+    is 1 with one dot and 0 with none or two, so the terms whose discs there
+    carry exactly ``dots``, the circles with undotted caps, survive, with
+    those bits removed."""
+    low, full = (1 << pos) - 1, (1 << k) - 1
+    return {mask & low | mask >> (pos + k) << pos: c
+            for mask, c in m.items() if mask >> pos & full == dots}
 
 
 # ---------------------------------------------------------------------------
@@ -654,12 +607,6 @@ def _horizontal_match(n, col):
     m[a], m[b] = b, a
     m[n + a], m[n + b] = n + b, n + a
     return tuple(m)
-
-
-def _saddle(src_match, tgt_match, n):
-    ids, _ = match_cycles(src_match, 0, tgt_match, 0)
-    blocks = frozenset(frozenset((cid,)) for cid in ids)
-    return {(blocks, frozenset()): _ONE}
 
 
 # ---------------------------------------------------------------------------
@@ -711,7 +658,8 @@ def scan_word(d: OrientedDiagram, limit=None, track_lee: bool = True, h_window=N
             orres = or_choice[cidx]
             cidx += 1
             letter_objects = [((m_a, 0), shifts[0]), ((m_b, 0), shifts[1])]
-            _tensor_letter(cx, tracked, letter_objects, _saddle(m_a, m_b, n), orres)
+            # the saddle is an undotted disc on each boundary curve
+            _tensor_letter(cx, tracked, letter_objects, _PLAIN, orres)
         else:
             m_e = _horizontal_match(n, letter[1] - 1)
             _tensor_letter(cx, tracked, [((m_e, 0), (0, 0))], None, 0)
@@ -755,24 +703,24 @@ def _tensor_letter(cx: ScanComplex, tracked: TrackedColumn, letter_objects, sadd
     new_uid = {}
     for uid, obj in old_objects.items():
         for ri, (lobj, (dh, dq)) in enumerate(letter_objects):
-            E, _circles, _tr = stacked_objects(obj, lobj, n)
+            E = stacked_objects(obj, lobj)[0]
             new_uid[(uid, ri)] = cx.add_object(E, old_h[uid] + dh, old_q[uid] + dq)
 
-    # differentials: d(x . l) = d(x) . l + (-1)^{h(x)} x . d(l)
-    letter_idents = [identity_morphism(lobj) for lobj, _sh in letter_objects]
+    # differentials: d(x . l) = d(x) . l + (-1)^{h(x)} x . d(l); stacking the
+    # identity of the vertical tangle changes no morphism
+    vertical = (_vertical_match(n), 0)
     for uid, rowm in old_out.items():
         for tgt, f in rowm.items():
             for ri, (lobj, _sh) in enumerate(letter_objects):
-                cx.add_entry(new_uid[(uid, ri)], new_uid[(tgt, ri)],
-                             stack(f, old_objects[uid], old_objects[tgt],
-                                   letter_idents[ri], lobj, lobj, n))
+                cx.set_entry(new_uid[(uid, ri)], new_uid[(tgt, ri)],
+                             f if lobj == vertical else
+                             stack(f, old_objects[uid], old_objects[tgt], _PLAIN, lobj, lobj))
     if saddle is not None:
         for uid, obj in old_objects.items():
-            stacked = stack(identity_morphism(obj), obj, obj,
-                            saddle, letter_objects[0][0], letter_objects[1][0], n)
+            stacked = stack(_PLAIN, obj, obj, saddle, letter_objects[0][0], letter_objects[1][0])
             if old_h[uid] % 2:
                 stacked = _scale_morphism(stacked, -1)
-            cx.add_entry(new_uid[(uid, 0)], new_uid[(uid, 1)], stacked)
+            cx.set_entry(new_uid[(uid, 0)], new_uid[(uid, 1)], stacked)
 
     # retire old objects
     for uid in old_objects:
@@ -780,11 +728,11 @@ def _tensor_letter(cx: ScanComplex, tracked: TrackedColumn, letter_objects, sadd
 
     # push the tracked column through the tensor, then grow its source
     lobj_or = letter_objects[orres][0]
-    ident_or = identity_morphism(lobj_or)
     old_maps, tracked.maps = tracked.maps, {}
     for uid, f in old_maps.items():
-        tracked.add(new_uid[(uid, orres)],
-                    stack(f, tracked.source, old_objects[uid], ident_or, lobj_or, lobj_or, n))
+        if lobj_or != vertical:
+            f = stack(f, tracked.source, old_objects[uid], _PLAIN, lobj_or, lobj_or)
+        tracked.add(new_uid[(uid, orres)], f)
     tracked.extend(lobj_or)
 
 
@@ -794,107 +742,26 @@ def _close_and_reduce(cx: ScanComplex, tracked: TrackedColumn, track_lee):
     the circles by 1 and x."""
     n = cx.n
     gc = GradedComplex()
-    obj_circles = {uid: close_object(obj, n) for uid, obj in cx.obj.items()}
     width = {}
     gen_of = {}
     for uid in sorted(cx.obj):
-        k = width[uid] = cx.obj[uid][1] + len(obj_circles[uid])
+        k = width[uid] = cx.obj[uid][1] + len(close_object(cx.obj[uid], n))
         for mask in range(1 << k):
-            qshift = sum(1 if not (mask >> j) & 1 else -1 for j in range(k))
-            gen_of[(uid, mask)] = gc.add_gen(cx.h[uid], cx.q[uid] + qshift)
+            gen_of[(uid, mask)] = gc.add_gen(cx.h[uid], cx.q[uid] + k - 2 * mask.bit_count())
 
-    labels = ((_ONE, qt.ZERO), (qt.ZERO, _ONE))  # 1 and x
     for src in sorted(cx.obj):
-        k = width[src]
         for tgt, fm in cx.out[src].items():
-            closed = close_morphism(fm, cx.obj[src], cx.obj[tgt], n,
-                                    obj_circles[src], obj_circles[tgt])
-            for ms in range(1 << k):
-                image = _apply_closed(closed, [labels[(ms >> j) & 1] for j in range(k)])
-                for mt, poly in image.items():
-                    for e, c in poly.items():
-                        gc.add_entry(gen_of[(src, ms)], gen_of[(tgt, mt)], c, e)
+            closed = close_morphism(fm, cx.obj[src], cx.obj[tgt])
+            for ms, mt, poly in _closed_entries(closed, width[src]):
+                gs, gt = gen_of[(src, ms)], gen_of[(tgt, mt)]
+                for e, c in poly.items():
+                    gc.add_entry(gs, gt, c, e)
 
     src_maps = {}
     if track_lee:
-        src_closed = close_object(tracked.source, n)
         for uid, fm in tracked.maps.items():
-            src_maps[uid] = close_morphism(fm, tracked.source, cx.obj[uid], n,
-                                           src_closed, obj_circles[uid])
+            src_maps[uid] = close_morphism(fm, tracked.source, cx.obj[uid])
     return _ScanClosure(gc, gen_of, src_maps, tracked.closed_circle_slots())
-
-
-def _apply_closed(closed, elems):
-    """Evaluate a closed cobordism on a tensor product of elements of
-    A = Q[t][x]/(x^2 - t).
-
-    closed: {(partition, dotted): Qt} from ``close_morphism``; elems: one
-    element (a, b) = a*1 + b*x per source circle.  Each block multiplies the
-    elements on its source circles, times x when it is dotted, and
-    comultiplies the product onto its target circles.  Returns {target label
-    mask: Qt}, with bit j set when target circle j carries x.
-    """
-    out = {}
-    for (blocks, dotted), coeff in closed.items():
-        results = {0: _ONE}  # partial target mask -> Qt
-        for block in blocks:
-            srcs = sorted(c[1] for c in block if c[0] == "s")
-            a, b = elems[srcs[0]] if srcs else (_ONE, qt.ZERO)
-            for s in srcs[1:]:
-                c, d = elems[s]
-                a, b = (qt.add(qt.mul(a, c), qt.shift(qt.mul(b, d), 1)),
-                        qt.add(qt.mul(a, d), qt.mul(b, c)))
-            if block in dotted:
-                a, b = qt.shift(b, 1), a
-            tgts = sorted(c[1] for c in block if c[0] == "t")
-            outs = _comul_many(a, b, len(tgts))
-            new = {}
-            for tm, cpart in results.items():
-                for labs, cc in outs.items():
-                    bits = sum(1 << t for lab, t in zip(labs, tgts) if lab)
-                    _accumulate(new, tm | bits, qt.mul(cpart, cc))
-            results = new
-            if not results:
-                break
-        for tm, cpart in results.items():
-            _accumulate(out, tm, qt.mul(cpart, coeff))
-    return out
-
-
-def _comul_many(a, b, k):
-    """Iterated comultiplication of a*1 + b*x to k outputs.
-
-    Returns {tuple of labels: Qt}.  k = 0 is the counit eps."""
-    if k == 0:
-        return {(): b} if b else {}
-    # delta(1) = 1(x)x + x(x)1 ; delta(x) = x(x)x + t 1(x)1, applied k-1
-    # times; states map emitted label prefixes to the remaining element
-    cur = {(): (a, b)}
-    for step in range(k - 1):
-        new = {}
-        for labels, (aa, bb) in cur.items():
-            # delta(aa*1 + bb*x) = aa (1 x + x 1) + bb (x x + t 1 1)
-            # organize by the label emitted at this position:
-            # emit 0 (label 1): remainder aa * x + bb*t * 1
-            rem0 = (qt.shift(bb, 1), aa)
-            # emit 1 (label x): remainder aa * 1 + bb * x
-            rem1 = (aa, bb)
-            for lab, rem in ((0, rem0), (1, rem1)):
-                if rem[0] or rem[1]:
-                    key = labels + (lab,)
-                    if key in new:
-                        oa, ob = new[key]
-                        new[key] = (qt.add(oa, rem[0]), qt.add(ob, rem[1]))
-                    else:
-                        new[key] = rem
-        cur = new
-    result = {}
-    for labels, (aa, bb) in cur.items():
-        if aa:
-            result[labels + (0,)] = aa
-        if bb:
-            result[labels + (1,)] = bb
-    return result
 
 
 class _ScanClosure:
@@ -909,17 +776,22 @@ class _ScanClosure:
     def lee_vectors(self, circle_sign_of_slotset):
         """Vectors for s_o and s_obar over the closed complex generators: the
         tracked maps applied to eps*1 + x on each Seifert circle, eps its
-        sign for s_o and minus its sign for s_obar.
+        sign for s_o and minus its sign for s_obar.  A plain cap takes that
+        element to 1 and a dotted cap to eps.
 
         circle_sign_of_slotset: function mapping a slot frozenset to +-1."""
         signs = [circle_sign_of_slotset(ss) for ss in self.source_circle_slots]
+        k = len(signs)
         vectors = []
         for flip in (1, -1):
-            elems = [({0: eps * flip}, _ONE) for eps in signs]
             vec = {}
             for uid, closed in self.src_maps.items():
-                for tm, poly in _apply_closed(closed, elems).items():
-                    _accumulate(vec, self.gen_of[(uid, tm)], poly)
+                for ms, mt, poly in _closed_entries(closed, k):
+                    c = 1
+                    for j in range(k):
+                        if not ms >> j & 1:  # a dotted cap
+                            c *= flip * signs[j]
+                    _accumulate(vec, self.gen_of[(uid, mt)], {e: v * c for e, v in poly.items()})
             vectors.append(vec)
         return tuple(vectors)
 

@@ -104,44 +104,65 @@ def test_whitehead_doubles():
     assert vals[((-1, -1, -1), 0)] == 0  # doubles of negative knots
 
 
-def test_match_cycles_cache_holds_one_scan():
-    # one scan of T(5,5) fits the bounded cache without evicting an entry
-    from khlee.tlscan import MATCH_CYCLES_CACHE, match_cycles
+class _CountingTable(dict):
+    """A memo table that counts the results stored in it and the lookups
+    that found one."""
 
-    match_cycles.cache_clear()
+    def __init__(self):
+        super().__init__()
+        self.stored = self.hits = 0
+
+    def __setitem__(self, key, value):
+        self.stored += 1
+        super().__setitem__(key, value)
+
+    def get(self, key, default=None):
+        value = super().get(key, default)
+        self.hits += value is not None
+        return value
+
+
+def test_memo_holds_one_scan(monkeypatch):
+    # one scan of T(5,5) fits the bounded memo without the table starting over
+    from khlee import tlscan
+
+    table = _CountingTable()
+    monkeypatch.setattr(tlscan, "_memo_table", table)
     d = from_braid(BraidWord(5, torus_word(5, 5)))
     assert s_invariant(d, engine="scan", with_module=False, _compute_plus=False).s == 16
-    info = match_cycles.cache_info()
-    assert info.maxsize == MATCH_CYCLES_CACHE
-    assert info.currsize == info.misses <= MATCH_CYCLES_CACHE
-
-
-def _scan_cache_infos():
-    from khlee.tlscan import _glue_pair, vcomp
-
-    return _glue_pair.cache_info(), vcomp.cache_info()
+    assert 0 < len(table) == table.stored <= tlscan.MEMO_CACHE
 
 
 def test_scan_caches_do_not_change_output(monkeypatch):
-    # the memoized gluings are pure: cold, warm from another scan and warm
-    # from the same scan give byte-identical reduced complexes
+    # the memoized plans, cycles and stackings are pure: cold, warm from
+    # another scan, warm from the same scan and with the smallest bound give
+    # byte-identical reduced complexes
     from khlee import tlscan
 
     diagrams = [from_braid(BraidWord(4, torus_word(4, 4), (True, True, False, False))),
                 from_braid(BraidWord(3, (-1, 2, ("e", 1), 2, -1), (True, False, True)))]
     diagrams += [from_braid(w) for w in random_braids(count=6, seed=5, max_letters=8)]
     cold = [scan_complex(d).export_text() for d in diagrams]
+    table = _CountingTable()
+    monkeypatch.setattr(tlscan, "_memo_table", table)
     monkeypatch.setattr(tlscan, "clear_scan_caches", lambda: None)
     for i, d in enumerate(diagrams):
         assert scan_complex(d).export_text() == cold[i]  # warm from other scans
+        stored = table.stored
         assert scan_complex(d).export_text() == cold[i]  # warm from this scan
-    assert all(info.hits for info in _scan_cache_infos())
+        assert table.stored == stored  # every result was found in the memo
+    assert table.hits
+    monkeypatch.setattr(tlscan, "MEMO_CACHE", 1)
+    table.clear()
+    for i, d in enumerate(diagrams):
+        assert scan_complex(d).export_text() == cold[i]
+        assert len(table) == 1
 
 
 def test_scan_caches_are_bounded_and_cleared(monkeypatch):
     from khlee import tlscan
 
-    on_entry = []  # cache sizes at the first letter of each scan_word call
+    on_entry = []  # memo sizes at the first letter of each scan_word call
     scan_word, tensor_letter = tlscan.scan_word, tlscan._tensor_letter
 
     def scan_word_probe(*args, **kwargs):
@@ -150,18 +171,16 @@ def test_scan_caches_are_bounded_and_cleared(monkeypatch):
 
     def tensor_letter_probe(*args):
         if on_entry[-1] is None:
-            on_entry[-1] = [info.currsize for info in _scan_cache_infos()]
+            on_entry[-1] = len(tlscan._memo_table)
         return tensor_letter(*args)
 
     monkeypatch.setattr(tlscan, "scan_word", scan_word_probe)
     monkeypatch.setattr(tlscan, "_tensor_letter", tensor_letter_probe)
     d = from_braid(BraidWord(5, torus_word(5, 5)))
     assert s_invariant(d, engine="scan", with_module=False, _compute_plus=False).s == 16
-    glue, vc = _scan_cache_infos()
-    assert glue.maxsize == tlscan.GLUE_CACHE and vc.maxsize == tlscan.VCOMP_CACHE
-    assert 0 < glue.currsize <= glue.maxsize and 0 < vc.currsize <= vc.maxsize
+    assert 0 < len(tlscan._memo_table) <= tlscan.MEMO_CACHE
     scan_complex(from_braid(BraidWord(3, (1, 1, 2, 2))))
-    assert len(on_entry) >= 2 and all(sizes == [0, 0] for sizes in on_entry)
+    assert len(on_entry) >= 2 and all(size == 0 for size in on_entry)
 
 
 def test_scan_generator_counts():
@@ -183,6 +202,29 @@ def test_scan_generator_counts():
         closure = scan_word(builtin_diagram(name), track_lee=False, h_window=(-1, 0))
         assert closure.gc.n_gens == closed, name
         assert scan_reduce(closure.gc).n_gens == reduced, name
+
+
+def test_scan_entry_counts(monkeypatch):
+    # exact work left after each letter: the entries after its elimination,
+    # summed over the letters of the full and of the windowed scan; a change
+    # of basis or pivot order moves these totals, so a new value needs a reason
+    from khlee import tlscan
+    from khlee.corpus import builtin_diagram
+
+    counts = []
+    eliminate = tlscan._eliminate
+
+    def counting(cx, tracked):
+        eliminate(cx, tracked)
+        counts.append(sum(len(row) for row in cx.out.values()))
+
+    monkeypatch.setattr(tlscan, "_eliminate", counting)
+    expect = {"F_2(2)": (3788, 1558), "Wh+(trefoil+,2)": (3962, 1421)}
+    for name, (full, windowed) in expect.items():
+        for window, total in ((None, full), ((-1, 0), windowed)):
+            counts.clear()
+            tlscan.scan_word(builtin_diagram(name), track_lee=False, h_window=window)
+            assert sum(counts) == total, (name, window)
 
 
 def test_scan_object_budget_message():

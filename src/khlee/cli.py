@@ -33,6 +33,28 @@ def _read_source(value: str) -> str:
     return value
 
 
+def _orientation_pattern(pat: str) -> tuple:
+    if not isinstance(pat, str) or set(pat) - set("ud"):
+        raise ParseError(f"orientation pattern {pat!r} must use 'u'/'d'")
+    return tuple(ch == "u" for ch in pat)
+
+
+def _strand_count(value) -> int:
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ParseError(f"bad strand count {value!r}")
+
+
+def _braid_letter(tok: str):
+    try:
+        return int(tok)
+    except ValueError:
+        return tok  # "e<i>"; BraidWord rejects anything else
+
+
 def parse_braid_text(text: str) -> BraidWord:
     """`braid <n> [updown]: w1 w2 ...` with integer or e<i> letters."""
     text = text.strip()
@@ -42,34 +64,26 @@ def parse_braid_text(text: str) -> BraidWord:
     parts = head.split()
     if len(parts) < 2:
         raise ParseError("missing strand count in braid input")
-    n = int(parts[1])
-    orientation = ()
-    if len(parts) >= 3:
-        pat = parts[2]
-        if set(pat) - set("ud"):
-            raise ParseError(f"orientation pattern {pat!r} must use 'u'/'d'")
-        orientation = tuple(ch == "u" for ch in pat)
-    letters = []
-    for tok in tail.split():
-        if tok[0] in "eE":
-            letters.append(("e", int(tok[1:])))
-        else:
-            letters.append(int(tok))
-    return BraidWord(n, tuple(letters), orientation)
+    orientation = _orientation_pattern(parts[2]) if len(parts) >= 3 else ()
+    return BraidWord(_strand_count(parts[1]), tuple(map(_braid_letter, tail.split())),
+                     orientation)
 
 
 def parse_ssr_json(text: str) -> SsrDiagram:
-    data = json.loads(text)
-    orientation = tuple(ch == "u" for ch in data.get("orient", ""))
-    letters = []
-    for x in data.get("braid", []):
-        if isinstance(x, str):
-            letters.append(("e", int(x[1:])))
-        else:
-            letters.append(int(x))
-    base = BraidWord(int(data["strands"]), tuple(letters), orientation)
-    handles = tuple(tuple(h) for h in data.get("handles", []))
-    return SsrDiagram(base, handles)
+    """SSr JSON: {"strands", "orient", "braid", "handles"}; letters are
+    integers or "e<i>" strings, handles [a, b, pos] lists."""
+    try:
+        data = json.loads(text)
+    except ValueError as e:
+        raise ParseError(f"SSr input is not valid JSON: {e}") from None
+    if not isinstance(data, dict) or "strands" not in data:
+        raise ParseError('SSr JSON must be an object with a "strands" count')
+    letters, handles = data.get("braid", []), data.get("handles", [])
+    if not isinstance(letters, list) or not isinstance(handles, list):
+        raise ParseError('SSr "braid" and "handles" must be JSON lists')
+    base = BraidWord(_strand_count(data["strands"]), tuple(letters),
+                     _orientation_pattern(data.get("orient", "")))
+    return SsrDiagram(base, tuple(handles))
 
 
 def load_diagram(args):
@@ -148,7 +162,7 @@ def cmd_kh(args):
 def cmd_lee(args):
     d = load_diagram(args)
     cx = deformed_complex(d, args.engine, args.limit)
-    dims1 = {str(h): v for h, v in sorted(cx.dims_at_t(1).items())}
+    dims1 = {str(h): v for h, v in sorted(homology_qt(cx).dims_t1().items())}
     reports = s_all_orientations(d, engine=args.engine, limit=args.limit)
     levels = [{"orientation": list(r.orientation), "s_min": r.s_min, "s_max": r.s_max}
               for r in reports]

@@ -6,7 +6,6 @@ q(target) = q(source) + 4k, so entries are stored as (Fraction, int) pairs.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 
 from .errors import KhleeError
@@ -89,25 +88,6 @@ class GradedComplex:
                     raise KhleeError(f"d^2 != 0 at {src} -> {tgt} (t^{e}: {total})")
 
     # -- specializations -----------------------------------------------------------
-
-    def dims_at_t(self, value) -> dict:
-        """Homology dimensions over Q after substituting t := value.
-
-        Returns {h: dim};  for value == 0 use dims_at_t0 for the (h, q) split.
-        They are read off the Q[t]-module (``smith.homology_qt``) by the
-        universal coefficient theorem: at t = 0 each Q[t]/(t^k) summand adds
-        one dimension at its own h and one at h - 1, and at any other value
-        only the free part survives.
-        """
-        from .smith import homology_qt
-
-        summary = homology_qt(self)
-        if value:
-            return summary.dims_t1()
-        dims = Counter()
-        for (h, _q), d in summary.dims_t0().items():
-            dims[h] += d
-        return dict(dims)
 
     def dims_at_t0(self) -> dict:
         """Khovanov specialization: {(h, q): dim} over Q at t = 0.

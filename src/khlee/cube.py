@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .complexes import GradedComplex
 from .diagrams import OrientedDiagram
-from .errors import ResourceLimit
+from .errors import ParseError, ResourceLimit
 from .frobenius import FrobeniusData
 
 DEFAULT_LIMIT = 2**22
@@ -24,7 +24,10 @@ def generator_limit(override=None) -> int:
         return int(override)
     env = os.environ.get("KHLEE_LIMIT")
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ParseError(f"KHLEE_LIMIT must be an integer, not {env!r}") from None
     return DEFAULT_LIMIT
 
 

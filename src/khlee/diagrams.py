@@ -33,11 +33,10 @@ def _normalize_letter(x, n: int):
         except ValueError:
             raise ParseError(f"bad braid letter {x!r}")
         return _normalize_letter(("e", i), n)
-    if isinstance(x, (tuple, list)) and len(x) == 2 and x[0] == "e":
-        i = int(x[1])
-        if not 1 <= i <= n - 1:
-            raise ParseError(f"turnback letter e{i} out of range for {n} strands")
-        return ("e", i)
+    if isinstance(x, (tuple, list)) and len(x) == 2 and x[0] == "e" and isinstance(x[1], int):
+        if not 1 <= x[1] <= n - 1:
+            raise ParseError(f"turnback letter e{x[1]} out of range for {n} strands")
+        return ("e", x[1])
     raise ParseError(f"bad braid letter {x!r}")
 
 
@@ -117,7 +116,6 @@ class Arc:
 @dataclass
 class Circle:
     arcs: frozenset  # member arc ids
-    slots: frozenset = frozenset()
 
 
 @dataclass
@@ -210,8 +208,7 @@ class OrientedDiagram:
                 member.append(arc.id)
                 visited.add(arc.id)
                 exit_end = arc.head if forward else arc.tail
-            slots = frozenset().union(*(self.arcs[a].slots for a in member))
-            circles.append(Circle(arcs=frozenset(member), slots=slots))
+            circles.append(Circle(arcs=frozenset(member)))
         circles.sort(key=lambda c: min(c.arcs))
         return Resolution(choice, circles)
 
@@ -422,248 +419,116 @@ class OrientedDiagram:
 
 def from_braid(b: BraidWord) -> OrientedDiagram:
     """Standard (trace) closure of a braid-like word: strands run up the
-    columns, closure arcs pass to the right of the word."""
+    columns, closure arcs pass to the right of the word.
+
+    Point (j, c) is column c at row boundary j (0 <= j <= m for m letters);
+    letter k + 1 lies between rows k and k + 1.  A strand passes each point
+    once, and ``slot_direction`` records which way.  Crossing corners are
+    numbered counterclockwise from the bottom left (0 BL, 1 BR, 2 TR, 3 TL),
+    and a strand leaves a crossing at the corner opposite its entry.
+    Components are numbered by their least point.  A component through a
+    closure column runs as the flag of its first such column says.  Any
+    other component begins, in letter order, with a cup, and leaves it
+    upward on the right."""
     n, letters = b.strands, b.letters
     m = len(letters)
+    cols = [abs(x) if isinstance(x, int) else x[1] for x in letters]
+    sigmas = [k for k, x in enumerate(letters) if isinstance(x, int)]  # per crossing id
+    cid_of = {k: cid for cid, k in enumerate(sigmas)}
 
-    # Pieces are undirected curve segments between valence-2 boundary points
-    # ("pt", c, j) (c = 1..n columns, j = 0..m row boundaries) and crossing
-    # corners ("port", cid, corner).
-    pieces = []  # dict: kind, e = (end0, end1), slots, id
-    crossing_letter = {}  # cid -> sigma letter
-    cid = 0
+    def step(j, c, up):
+        """The next point of a strand at (j, c) running up (or down), and
+        the crossing end (id, corner) it enters on the way, if any."""
+        k = j if up else j - 1
+        if k == m or k < 0:  # the closure arc
+            return (0 if up else m), c, up, None
+        i = cols[k]
+        if c != i and c != i + 1:
+            return (j + 1 if up else j - 1), c, up, None
+        cid = cid_of.get(k)
+        if cid is None:  # the cap above row j, or the cup below it
+            return j, 2 * i + 1 - c, not up, None
+        if up:
+            return j + 1, 2 * i + 1 - c, up, (cid, c - i)
+        return j - 1, 2 * i + 1 - c, up, (cid, 3 - (c - i))
 
-    def add(kind, end0, end1, slots):
-        pieces.append({"kind": kind, "e": (end0, end1),
-                       "slots": frozenset(slots), "id": len(pieces)})
+    # 1. trace the components, recording each point's component and flow
+    traces, comp_at, slot_direction, loops = [], {}, {}, set()
 
-    for j in range(1, m + 1):
-        letter = letters[j - 1]
-        i = abs(letter) if isinstance(letter, int) else letter[1]
-        if isinstance(letter, int):
-            crossing_letter[cid] = letter
-            add("stub", ("pt", i, j - 1), ("port", cid, "BL"), [(j - 1, i)])
-            add("stub", ("pt", i + 1, j - 1), ("port", cid, "BR"), [(j - 1, i + 1)])
-            add("stub", ("port", cid, "TL"), ("pt", i, j), [(j, i)])
-            add("stub", ("port", cid, "TR"), ("pt", i + 1, j), [(j, i + 1)])
-            cid += 1
-        else:
-            add("cap", ("pt", i, j - 1), ("pt", i + 1, j - 1), [(j - 1, i), (j - 1, i + 1)])
-            add("cup", ("pt", i, j), ("pt", i + 1, j), [(j, i), (j, i + 1)])
-        for c in range(1, n + 1):
-            if c not in (i, i + 1):
-                add("straight", ("pt", c, j - 1), ("pt", c, j), [(j - 1, c), (j, c)])
+    def trace(j, c, up):
+        t, points, crossed = len(traces), [], False
+        while (j, c) not in comp_at:
+            comp_at[(j, c)] = t
+            slot_direction[(j, c)] = up
+            points.append((j, c))
+            j, c, up, entered = step(j, c, up)
+            crossed = crossed or entered is not None
+        traces.append(points)
+        if not crossed:
+            loops.add(t)
 
     for c in range(1, n + 1):
-        add("closure", ("pt", c, m), ("pt", c, 0), [(m, c), (0, c)])
+        if (0, c) not in comp_at:
+            trace(0, c, b.orientation[c - 1])
+        elif slot_direction[(0, c)] != b.orientation[c - 1]:
+            raise OrientationConflict(
+                f"orientation flags are inconsistent on the closure of column {c}")
+    for j, x in enumerate(letters, 1):
+        if not isinstance(x, int) and (j, x[1]) not in comp_at:
+            trace(j, x[1] + 1, True)
+    order = sorted(range(len(traces)), key=lambda t: min(traces[t]))
+    rank = {t: r for r, t in enumerate(order)}
 
-    # adjacency at boundary points
-    at_point = {}
-    for p in pieces:
-        for endi, e in enumerate(p["e"]):
-            if e[0] == "pt":
-                at_point.setdefault(e, []).append((p["id"], endi))
-    for e, lst in at_point.items():
-        if len(lst) != 2:
-            raise AssertionError(f"boundary point {e} has valence {len(lst)}")
+    # each crossing's ends start at its incoming under corner; the sign is
+    # positive iff the over strand comes in at position 3
+    under, signs = [], []
+    for k in sigmas:
+        in_a = 0 if slot_direction[(k, cols[k])] else 2  # strand BL -- TR
+        in_b = 1 if slot_direction[(k, cols[k] + 1)] else 3  # strand BR -- TL
+        u, o = (in_b, in_a) if letters[k] > 0 else (in_a, in_b)
+        under.append(u)
+        signs.append(1 if (o - u) % 4 == 3 else -1)
 
-    # connected components over pieces
-    parent = list(range(len(pieces)))
+    # 2. cut an arc from each outgoing corner, in letter order BL, BR, TL, TR
+    arcs, end_at = {}, {}
+    for cid, k in enumerate(sigmas):
+        i = cols[k]
+        for corner, j, c, up in ((0, k, i, False), (1, k, i + 1, False),
+                                 (3, k + 1, i, True), (2, k + 1, i + 1, True)):
+            if slot_direction[(j, c)] != up:
+                continue  # the strand comes in here
+            aid, tail, points, head = len(arcs), (cid, (corner - under[cid]) % 4), [], None
+            comp = rank[comp_at[(j, c)]]
+            while head is None:
+                points.append((j, c))
+                j, c, up, head = step(j, c, up)
+            head = (head[0], (head[1] - under[head[0]]) % 4)
+            arcs[aid] = Arc(aid, comp, tail=tail, head=head, slots=frozenset(points))
+            end_at[tail] = end_at[head] = aid
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    # 3. the crossingless loops, at their first piece in letter order: caps,
+    # cups and straights of each letter, then the closure arcs
+    def pieces():
+        for j, x in enumerate(letters, 1):
+            i = cols[j - 1]
+            if not isinstance(x, int):
+                yield j - 1, i
+                yield j, i
+            yield from ((j, c) for c in range(1, n + 1) if c != i and c != i + 1)
+        yield from ((0, c) for c in range(1, n + 1))
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
+    for point in pieces() if loops else ():
+        t = comp_at[point]
+        if t in loops:
+            loops.discard(t)
+            aid = len(arcs)
+            arcs[aid] = Arc(aid, rank[t], tail=None, head=None, slots=frozenset(traces[t]))
 
-    for e, ((p1, _), (p2, _)) in at_point.items():
-        union(p1, p2)
-    # at a crossing only the two stubs of one strand (one diagonal) connect
-    stub_of = {}
-    for p in pieces:
-        for e in p["e"]:
-            if e[0] == "port":
-                stub_of[(e[1], e[2])] = p["id"]
-    for c0 in crossing_letter:
-        union(stub_of[(c0, "BL")], stub_of[(c0, "TR")])
-        union(stub_of[(c0, "BR")], stub_of[(c0, "TL")])
-
-    # direction assignment: True means the piece flows end0 -> end1
-    direction = {}
-    conflicts = []
-    _diag_partner = {"BL": "TR", "TR": "BL", "BR": "TL", "TL": "BR"}
-
-    def _port_end_index(pid):
-        return 0 if pieces[pid]["e"][0][0] == "port" else 1
-
-    def propagate(start_piece, start_dir):
-        stack = [(start_piece, start_dir)]
-        while stack:
-            pid, d = stack.pop()
-            if pid in direction:
-                if direction[pid] != d:
-                    conflicts.append(pid)
-                continue
-            direction[pid] = d
-            p = pieces[pid]
-            for endi in (0, 1):
-                e = p["e"][endi]
-                # flow leaves through end1 when d, through end0 otherwise
-                outgoing = (endi == 1) == d
-                if e[0] == "pt":
-                    nbrs = [(qid, qend) for qid, qend in at_point[e] if (qid, qend) != (pid, endi)]
-                else:
-                    # the strand continues through the crossing diagonal
-                    qid = stub_of[(e[1], _diag_partner[e[2]])]
-                    nbrs = [(qid, _port_end_index(qid))]
-                for qid, qend in nbrs:
-                    # an outgoing neighbor receives the flow at its end qend;
-                    # otherwise it must deliver flow into this point
-                    stack.append((qid, qend == (0 if outgoing else 1)))
-
-    closure_pieces = [p for p in pieces if p["kind"] == "closure"]
-    for p in sorted(closure_pieces, key=lambda p: p["e"][0][1]):
-        col = p["e"][0][1]
-        # end0 = P(c, m) (top), end1 = P(c, 0): flows end0 -> end1 when the
-        # strand runs upward through the word
-        d = b.orientation[col - 1]
-        if p["id"] in direction:
-            if direction[p["id"]] != d:
-                raise OrientationConflict(
-                    f"orientation flags are inconsistent on the closure of column {col}")
-        else:
-            propagate(p["id"], d)
-    # interior circles (no closure arcs): deterministic direction
-    for p in pieces:
-        if p["id"] not in direction:
-            propagate(p["id"], True)
-    if conflicts:
-        raise OrientationConflict("orientation flags are inconsistent along a component")
-
-    # crossing records need strand directions through the two diagonals
-    # diag A at crossing: BL -- TR (strand entering at column i from below);
-    # diag B: BR -- TL.
-    stub_dir = {}  # (cid, corner) -> True if flow goes INTO the port
-    for p in pieces:
-        if p["kind"] != "stub":
-            continue
-        for endi, e in enumerate(p["e"]):
-            if e[0] == "port":
-                stub_dir[(e[1], e[2])] = direction[p["id"]] == (endi == 1)
-
-    # component labels per piece root, numbered by smallest boundary point
-    comp_of_root = {}
-    root_key = {}
-    for p in pieces:
-        r = find(p["id"])
-        for e in p["e"]:
-            if e[0] != "pt":
-                continue
-            k = (e[2], e[1])
-            if r not in root_key or k < root_key[r]:
-                root_key[r] = k
-    for i, r in enumerate(sorted(root_key, key=lambda r: root_key[r])):
-        comp_of_root[r] = i
-    n_components = len(comp_of_root)
-
-    # walk arcs from port to port (or closed loops)
-    consumed = set()
-    arcs = {}
-
-    def walk(pid, from_end):
-        """Follow the flow starting at piece pid entering from `from_end`
-        (0/1 index); returns (slots, end) where end is a port or None."""
-        slots = set()
-        cur, came_from = pid, from_end
-        while True:
-            p = pieces[cur]
-            consumed.add(cur)
-            slots |= p["slots"]
-            out_end = 1 - came_from
-            e = p["e"][out_end]
-            if e[0] == "port":
-                return frozenset(slots), e
-            (nq, nqe), = [(qid, qe) for qid, qe in at_point[e] if (qid, qe) != (cur, out_end)]
-            if nq in consumed:
-                return frozenset(slots), None  # closed loop completed
-            cur, came_from = nq, nqe
-
-    # arcs beginning at ports: start with the stub flowing away from the port
-    for p in pieces:
-        if p["kind"] != "stub" or p["id"] in consumed:
-            continue
-        d = direction[p["id"]]
-        start_end = p["e"][0] if d else p["e"][1]
-        if start_end[0] != "port":
-            continue  # this stub flows into its port; it terminates some arc
-        slots, end = walk(p["id"], 0 if d else 1)
-        aid = len(arcs)
-        arcs[aid] = Arc(aid, comp_of_root[find(p["id"])], tail=start_end[1:],
-                        head=end[1:], slots=slots)
-    # closed components (no ports)
-    for p in pieces:
-        if p["id"] in consumed:
-            continue
-        slots, _ = walk(p["id"], 0 if direction[p["id"]] else 1)
-        aid = len(arcs)
-        arcs[aid] = Arc(aid, comp_of_root[find(p["id"])], tail=None, head=None,
-                        slots=slots)
-
-    arc_ends = {}  # (cid, corner) -> (arc id, "tail"/"head")
-    for aid, a in arcs.items():
-        if not a.closed:
-            arc_ends[a.tail] = (aid, "tail")
-            arc_ends[a.head] = (aid, "head")
-
-    crossings = []
-    ccw_order = ["BL", "BR", "TR", "TL"]
-    for c0, letter in crossing_letter.items():
-        over_corners = ("BL", "TR") if letter > 0 else ("BR", "TL")
-        under_corners = ("BR", "TL") if letter > 0 else ("BL", "TR")
-        # the incoming under corner is the one whose stub flows into the port
-        under_in = [cr for cr in under_corners if stub_dir[(c0, cr)]]
-        if len(under_in) != 1:
-            raise OrientationConflict(f"bad flow at crossing {c0}")
-        start = ccw_order.index(under_in[0])
-        order = [ccw_order[(start + k) % 4] for k in range(4)]
-        # rewrite arc ends in (cid, position) form
-        for posi, corner in enumerate(order):
-            aid, role = arc_ends[(c0, corner)]
-            arcs[aid] = replace(arcs[aid], **{role: (c0, posi)})
-        # sign: positive iff over strand comes in at position 3
-        over_in = [cr for cr in over_corners if stub_dir[(c0, cr)]]
-        if len(over_in) != 1:
-            raise OrientationConflict(f"bad flow at crossing {c0}")
-        sign = 1 if order.index(over_in[0]) == 3 else -1
-        crossings.append(Crossing(c0, sign, tuple(arc_ends[(c0, cr)][0] for cr in order)))
-
-    col_component = tuple(
-        comp_of_root[find(p["id"])] for p in sorted(closure_pieces, key=lambda p: p["e"][0][1])
-    )
-
-    # per boundary-slot flow direction (upward = True)
-    slot_direction = {}
-    for p in pieces:
-        d = direction[p["id"]]
-        kind = p["kind"]
-        if kind in ("straight", "stub", "closure"):
-            for e in p["e"]:
-                if e[0] == "pt":
-                    slot_direction[(e[2], e[1])] = d
-        elif kind == "cap":
-            (_, c0, j), (_, c1, _j) = p["e"]
-            slot_direction[(j, c0)] = d
-            slot_direction[(j, c1)] = not d
-        elif kind == "cup":
-            (_, c0, j), (_, c1, _j) = p["e"]
-            slot_direction[(j, c0)] = not d
-            slot_direction[(j, c1)] = d
-    return OrientedDiagram(crossings, arcs, n_components, braid=b,
+    # 4. the crossings' ends, counterclockwise from the incoming under end
+    crossings = [Crossing(cid, sign, tuple(end_at[(cid, p)] for p in range(4)))
+                 for cid, sign in enumerate(signs)]
+    col_component = tuple(rank[comp_at[(0, c)]] for c in range(1, n + 1))
+    return OrientedDiagram(crossings, arcs, len(traces), braid=b,
                            col_component=col_component,
                            slot_direction=slot_direction)
 

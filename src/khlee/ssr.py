@@ -51,11 +51,10 @@ class SsrDiagram:
         n = self.base.strands
         norm = []
         for h in self.handles:
-            if len(h) == 2:
-                a, b = h
-                pos = 0
-            else:
-                a, b, pos = h
+            if not (isinstance(h, (tuple, list)) and len(h) in (2, 3)
+                    and all(isinstance(v, int) for v in h)):
+                raise ParseError(f"handle {h!r} must be [a, b, pos] with integer entries")
+            a, b, pos = (*h, 0) if len(h) == 2 else h
             if not (1 <= a <= n and 0 <= b <= n and b >= a - 1):
                 raise ParseError(f"handle interval [{a}, {b}] out of range")
             if not 0 <= pos <= len(self.base.letters):

@@ -804,10 +804,8 @@ def scan_levels(dd: OrientedDiagram, chain, limit=None, want_module=True):
     closure = scan_word(dd, limit=limit, track_lee=True,
                         h_window=None if want_module else (-1, 0))
     res = dd.resolve(dd.oriented_choice())
-    slot2sign = {}
-    for circ, sgn in zip(res.circles, chain.circle_signs):
-        for slot in circ.slots:
-            slot2sign[slot] = sgn
+    slot2sign = {slot: sgn for circ, sgn in zip(res.circles, chain.circle_signs)
+                 for a in circ.arcs for slot in dd.arcs[a].slots}
 
     def sign_of(slotset):
         hits = {slot2sign[s] for s in slotset if s in slot2sign}

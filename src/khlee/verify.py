@@ -15,6 +15,7 @@ from .corpus import (builtin_ssr, random_braids, random_oriented_pure_diagram,
 from .diagrams import BraidWord, from_braid
 from .errors import KhleeError
 from .lee import deformed_complex, lee_generator, s_all_orientations, s_invariant
+from .smith import homology_qt
 from .ssr import (SsrDiagram, approx_threshold, bennequin_report,
                   insert_twists, positivity_formula, s_ssr, stabilization_check)
 
@@ -38,7 +39,7 @@ def suite_oracle(quick: bool = False):
         except KhleeError as e:
             bad_hom.append(f"{name}: {e}")
             continue
-        if sum(cx.dims_at_t(1).values()) != 2 ** d.n_components:
+        if sum(homology_qt(cx).dims_t1().values()) != 2 ** d.n_components:
             bad_dim.append(name)
         try:
             _s(d, engine="both")

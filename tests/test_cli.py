@@ -91,6 +91,40 @@ def test_error_json_and_exit_code(capsys):
     assert data["error"] == "ParseError"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("s", "--braid", "braid x: 1"), "bad strand count 'x'"),
+    (("s", "--braid", "braid 2: a"), "bad braid letter 'a'"),
+    (("s", "--braid", "braid 2: e"), "bad braid letter 'e'"),
+    (("ssr-s", "--ssr", '{"strands": 2,'), "SSr input is not valid JSON"),
+    (("ssr-s", "--ssr", '{"orient": "ud", "braid": [1, 1]}'),
+     'SSr JSON must be an object with a "strands" count'),
+    (("ssr-s", "--ssr", '{"strands": 2.5, "orient": "ud", "braid": [1, 1]}'),
+     "bad strand count 2.5"),
+    (("ssr-s", "--ssr", '{"strands": 2, "braid": [1, 1], "handles": [[1, 2, 0, 1]]}'),
+     "handle [1, 2, 0, 1] must be [a, b, pos] with integer entries"),
+    (("ssr-s", "--ssr", '{"strands": 2, "orient": "ud", "braid": ["x1", 1, 1]}'),
+     "bad braid letter 'x1'"),
+    (("ssr-s", "--ssr", '{"strands": 2, "braid": [["e", "x"]]}'),
+     "bad braid letter ['e', 'x']"),
+], ids=["braid-strands", "braid-letter", "braid-bare-e", "ssr-invalid-json",
+        "ssr-no-strands", "ssr-float-strands", "ssr-bad-handle", "ssr-string-letter",
+        "ssr-pair-letter"])
+def test_malformed_input_is_a_parse_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv, "--no-meta")
+    assert code == 2 and out == ""
+    data = json.loads(err)
+    assert data["error"] == "ParseError"
+    assert message in data["message"]
+
+
+def test_malformed_limit_environment_is_a_parse_error(capsys, monkeypatch):
+    monkeypatch.setenv("KHLEE_LIMIT", "abc")
+    code, out, err = run(capsys, "s", "--builtin", "trefoil+", "--no-meta")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "ParseError",
+                               "message": "KHLEE_LIMIT must be an integer, not 'abc'"}
+
+
 def test_limit_flag(capsys):
     code, out, err = run(capsys, "s", "--builtin", "trefoil+", "--engine", "brute",
                          "--limit", "4", "--no-meta")

@@ -4,6 +4,7 @@ from khlee.complexes import GradedComplex
 from khlee.cube import build_cube, specialize_t
 from khlee.diagrams import BraidWord, from_braid
 from khlee.errors import ResourceLimit
+from khlee.smith import homology_qt
 
 
 def cube_of(n, letters, orient=(), **kw):
@@ -14,20 +15,20 @@ def test_unknot_cube():
     c = cube_of(1, ())
     c.complex.check_d_squared()
     assert c.complex.dims_at_t0() == {(0, 1): 1, (0, -1): 1}
-    assert c.complex.dims_at_t(1) == {0: 2}
+    assert homology_qt(c.complex).dims_t1() == {0: 2}
 
 
 def test_unlink_tensor_square():
     c = cube_of(2, ())
     assert c.complex.dims_at_t0() == {(0, 2): 1, (0, 0): 2, (0, -2): 1}
-    assert c.complex.dims_at_t(1) == {0: 4}
+    assert homology_qt(c.complex).dims_t1() == {0: 4}
 
 
 def test_hopf_cube():
     c = cube_of(2, (1, 1))
     c.complex.check_d_squared()
     assert c.complex.dims_at_t0() == {(0, 0): 1, (0, 2): 1, (2, 4): 1, (2, 6): 1}
-    assert c.complex.dims_at_t(1) == {0: 2, 2: 2}
+    assert homology_qt(c.complex).dims_t1() == {0: 2, 2: 2}
 
 
 def test_trefoil_cube():
@@ -37,7 +38,7 @@ def test_trefoil_cube():
     # Khovanov homology of the right-handed trefoil over Q
     assert dims == {(0, 1): 1, (0, 3): 1, (2, 5): 1, (3, 9): 1}
     assert sum(dims.values()) == 4
-    assert c.complex.dims_at_t(1) == {0: 2}
+    assert homology_qt(c.complex).dims_t1() == {0: 2}
 
 
 def test_gradings():
@@ -94,7 +95,7 @@ def test_export_roundtrip():
     assert text.splitlines()[0].startswith("GEN ")
     back = GradedComplex.from_text(text)
     assert back.dims_at_t0() == c.complex.dims_at_t0()
-    assert back.dims_at_t(1) == c.complex.dims_at_t(1)
+    assert homology_qt(back).dims_t1() == homology_qt(c.complex).dims_t1()
 
 
 def test_resource_limit_message():

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 import khlee.diagrams as dg
@@ -182,3 +185,65 @@ def test_seifert_signs_checkerboard():
         diagrams += [d.mirror()] + ([d.reorient({0})] if d.n_components else [])
     for d in diagrams:
         _assert_checkerboard_signs(d)
+
+
+def _fields(d):
+    """Every value from_braid sets, with the arcs in their dict order."""
+    return ([(c.id, c.sign, c.ends) for c in d.crossings],
+            [(k, a.id, a.component, a.tail, a.head, sorted(a.slots))
+             for k, a in d.arcs.items()],
+            d.n_components, d.col_component, sorted(d.slot_direction.items()))
+
+
+def _seeded_words(count=300, seed=14):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        letters = []
+        for _ in range(rng.randint(0, 14) if n > 1 else 0):
+            i = rng.randint(1, n - 1)
+            letters.append(("e", i) if rng.random() < 0.2 else rng.choice((i, -i)))
+        yield BraidWord(n, tuple(letters), tuple(rng.random() < 0.5 for _ in range(n)))
+
+
+def test_from_braid_values_are_pinned():
+    # a crossingless turnback circle (component 1, points (1, 1) and (1, 2),
+    # leaving its cup upward on the right) beside a turnback closure
+    d = closure(3, (("e", 1), ("e", 1), 2), (True, False, False))
+    assert _fields(d) == (
+        [(0, 1, (0, 0, 1, 1))],
+        [(0, 0, 0, (0, 1), (0, 0), [(0, 1), (0, 2), (2, 1), (2, 2), (3, 1), (3, 2)]),
+         (1, 1, 0, (0, 2), (0, 3), [(0, 3), (1, 3), (2, 3), (3, 3)]),
+         (2, 2, 1, None, None, [(1, 1), (1, 2)])],
+        2, (0, 0, 0),
+        [((0, 1), True), ((0, 2), False), ((0, 3), False), ((1, 1), False),
+         ((1, 2), True), ((1, 3), False), ((2, 1), True), ((2, 2), False),
+         ((2, 3), False), ((3, 1), True), ((3, 2), False), ((3, 3), False)])
+    # mixed closure flags: three components, antiparallel at every crossing
+    d = closure(3, (1, 1, -2, -2), (True, False, True))
+    assert _fields(d) == (
+        [(0, -1, (2, 3, 0, 1)), (1, -1, (1, 4, 3, 2)), (2, 1, (6, 5, 4, 7)),
+         (3, 1, (5, 6, 7, 0))],
+        [(0, 0, 1, (0, 2), (3, 3), [(0, 2), (4, 2)]), (1, 1, 0, (0, 3), (1, 0), [(1, 2)]),
+         (2, 2, 1, (1, 3), (0, 0), [(1, 1)]),
+         (3, 3, 0, (1, 2), (0, 1), [(0, 1), (2, 1), (3, 1), (4, 1)]),
+         (4, 4, 1, (2, 2), (1, 1), [(2, 2)]), (5, 5, 2, (2, 1), (3, 0), [(3, 2)]),
+         (6, 6, 1, (3, 1), (2, 0), [(3, 3)]),
+         (7, 7, 2, (3, 2), (2, 3), [(0, 3), (1, 3), (2, 3), (4, 3)])],
+        3, (0, 1, 2),
+        [((0, 1), True), ((0, 2), False), ((0, 3), True), ((1, 1), False),
+         ((1, 2), True), ((1, 3), True), ((2, 1), True), ((2, 2), False),
+         ((2, 3), True), ((3, 1), True), ((3, 2), True), ((3, 3), False),
+         ((4, 1), True), ((4, 2), False), ((4, 3), True)])
+    # 300 seeded words with turnbacks and random flags, 140 of them rejected:
+    # every value and error message, pinned by a digest
+    lines, rejected = [], 0
+    for w in _seeded_words():
+        try:
+            lines.append(repr(_fields(from_braid(w))))
+        except OrientationConflict as e:
+            lines.append(f"{type(e).__name__}: {e}")
+            rejected += 1
+    assert rejected == 140
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        "f73bd980e91cc68bfae858e8cef776426ebed4406b7a1641b5b5ed84501e33ed"

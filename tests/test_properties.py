@@ -1,6 +1,8 @@
 """Property-based checks over random braid words and random homogeneous
 complexes."""
 
+from collections import Counter
+
 import hypothesis.strategies as st
 from hypothesis import assume, given, seed, settings
 
@@ -85,7 +87,7 @@ def test_cube_and_module(word):
     hs = homology_qt(cube.complex)
     assert hs.free_rank() == 2 ** d.n_components
     assert hs.dims_t0() == cube.complex.dims_at_t0() == dims_t0_by_rank(cube.complex)
-    assert hs.dims_t1() == cube.complex.dims_at_t(1) == dims_t_by_rank(cube.complex, 1)
+    assert hs.dims_t1() == dims_t_by_rank(cube.complex, 1)
 
 
 @st.composite
@@ -113,8 +115,11 @@ def test_module_of_two_term_complexes(cx):
     hs = homology_qt(cx)
     assert (hs.free, hs.torsion) == module_by_snf(cx)
     assert hs.dims_t0() == dims_t0_by_rank(cx)
-    assert hs.dims_t1() == cx.dims_at_t(1) == dims_t_by_rank(cx, 1)
-    assert cx.dims_at_t(0) == dims_t_by_rank(cx, 0)
+    assert hs.dims_t1() == dims_t_by_rank(cx, 1)
+    dims0 = Counter()
+    for (h, _q), v in hs.dims_t0().items():
+        dims0[h] += v
+    assert dims0 == dims_t_by_rank(cx, 0)
 
 
 @settings(max_examples=15, deadline=None)

@@ -27,7 +27,7 @@ def test_hopf_reduction():
     red = scan_reduce(c)
     assert red.n_gens <= 8
     assert red.dims_at_t0() == dims_t0_by_rank(c)
-    assert red.dims_at_t(1) == dims_t_by_rank(c, 1)
+    assert homology_qt(red).dims_t1() == dims_t_by_rank(c, 1)
 
 
 def test_no_unit_entries_left_and_equivalence():
@@ -46,7 +46,7 @@ def test_no_unit_entries_left_and_equivalence():
             for tgt, (coeff, e) in row.items():
                 assert e >= 1, "an invertible entry survived the reduction"
         assert red.dims_at_t0() == dims_t0_by_rank(c)
-        assert red.dims_at_t(1) == dims_t_by_rank(c, 1)
+        assert homology_qt(red).dims_t1() == dims_t_by_rank(c, 1)
 
 
 def _raw_window_levels(d, chain):
@@ -162,7 +162,7 @@ def test_dims_match_rank_oracle():
     for d in named:
         c = build_cube(d).complex
         assert c.dims_at_t0() == dims_t0_by_rank(c)
-        assert c.dims_at_t(1) == dims_t_by_rank(c, 1)
+        assert homology_qt(c).dims_t1() == dims_t_by_rank(c, 1)
 
 
 def _plain(cx, src, tgt, coeff, texp):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from khlee.complexes import GradedComplex
@@ -58,7 +60,7 @@ def test_module_consistent_with_specializations():
         c = build_cube(from_braid(BraidWord(n, letters))).complex
         hs = homology_qt(c)
         assert hs.dims_t0() == c.dims_at_t0() == dims_t0_by_rank(c)
-        assert hs.dims_t1() == c.dims_at_t(1) == dims_t_by_rank(c, 1)
+        assert hs.dims_t1() == dims_t_by_rank(c, 1)
 
 
 def _module(cx):
@@ -105,8 +107,11 @@ def test_torsion_orders_past_one():
     assert _module(cx) == module_by_snf(cx) == ([(0, -4), (1, 8)], [(1, 4, 1)])
     hs = homology_qt(cx)
     assert hs.dims_t0() == dims_t0_by_rank(cx)
-    assert hs.dims_t1() == cx.dims_at_t(1) == dims_t_by_rank(cx, 1)
-    assert cx.dims_at_t(0) == dims_t_by_rank(cx, 0)
+    assert hs.dims_t1() == dims_t_by_rank(cx, 1)
+    dims0 = Counter()
+    for (h, _q), v in hs.dims_t0().items():
+        dims0[h] += v
+    assert dims0 == dims_t_by_rank(cx, 0)
 
 
 def test_three_term_torsion_at_two_degrees():

@@ -139,6 +139,8 @@ def _parse_orientation(text, components):
 
 
 def cmd_s(args):
+    if args.all_orientations and args.orientation is not None:
+        raise ParseError("--orientation and --all-orientations exclude each other")
     d = load_diagram(args)
     orientation = _parse_orientation(args.orientation, d.n_components)
     if args.all_orientations:

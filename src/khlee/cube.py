@@ -20,168 +20,114 @@ DEFAULT_LIMIT = 2**22
 
 
 def generator_limit(override=None) -> int:
-    if override is not None:
-        return int(override)
-    env = os.environ.get("KHLEE_LIMIT")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ParseError(f"KHLEE_LIMIT must be an integer, not {env!r}") from None
-    return DEFAULT_LIMIT
+    """``override`` (--limit), else KHLEE_LIMIT, else ``DEFAULT_LIMIT``;
+    ``ParseError`` unless it is a positive integer."""
+    name, value = "--limit", override
+    if override is None:
+        name, value = "KHLEE_LIMIT", os.environ.get("KHLEE_LIMIT") or DEFAULT_LIMIT
+    try:
+        limit = int(value)
+    except ValueError:
+        raise ParseError(f"{name} must be an integer, not {value!r}") from None
+    if limit < 1:
+        raise ParseError(f"{name} must be a positive integer, not {value!r}")
+    return limit
 
 
 @dataclass
 class CubeComplex:
-    """A built cube plus the labeling-to-generator dictionary."""
+    """A built cube: ``first[r] + label_mask`` labels resolution bitmask r."""
 
     diagram: OrientedDiagram
     complex: GradedComplex
-    gen_of: dict  # (choice tuple, label mask) -> generator id
-    circle_arcs: dict  # choice tuple -> list of frozensets (sorted circle order)
+    first: dict  # resolution bitmask -> id of its generator with label mask 0
 
     def gen(self, choice, label_mask: int) -> int:
-        return self.gen_of[(tuple(choice), label_mask)]
+        """The generator of ``label_mask`` (bit j: circle j carries x, below
+        2^circles) on resolution ``choice``."""
+        return self.first[sum(b << i for i, b in enumerate(choice))] + label_mask
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
+# The signed saddle maps, one entry tuple each for the whole program:
+# {(sign, circles in, circles out): {input labels: [(entry, output labels)]}}
+_SADDLES = {
+    (s, 2, 1): {ab: [((Fraction(s * c), te), (lab,)) for c, te, lab in terms]
+                for ab, terms in FrobeniusData.mul.items()} for s in (1, -1)
+} | {
+    (s, 1, 2): {(a,): [((Fraction(s * c), te), labs) for c, te, labs in terms]
+                for a, terms in FrobeniusData.comul.items()} for s in (1, -1)
+}
 
 
 def build_cube(d: OrientedDiagram, limit=None, h_window=None) -> CubeComplex:
-    """Build the deformed complex of the diagram.
+    """Build the deformed complex of the diagram, or with ``h_window=(lo,
+    hi)`` the resolutions of homological degree in [lo, hi].
 
-    ``h_window=(lo, hi)`` restricts to resolutions whose homological degree
-    lies in [lo, hi]; differentials whose endpoints both lie in the window
-    are included.  The saddle maps are written straight into the complex's
-    ``out``/``inc`` tables, without ``add_entry``: every entry is
-    homogeneous by construction, and ``reduction.entry_tables`` checks h and
-    q again before any reduction reads them.  Each generator's resolution,
-    as a bitmask (bit i: crossing i), goes into ``complex.pos``, which puts
-    the pivots of ``reduction.scan_reduce`` in cube order.
+    Resolution r (bit i: crossing i) has generators ``first[r] + label_mask``
+    in order of r, and ``complex.pos`` maps them to r for the cube-order
+    pivots of ``reduction.scan_reduce``.  One loop writes every saddle into
+    ``out``/``inc`` from a placement table made once per (sign, circles in,
+    circles out, circle count); ``reduction.entry_tables`` checks h and q.
     """
     limit = generator_limit(limit)
-    n = d.n_crossings
-    n_minus = d.n_minus
-    n_plus = d.n_plus
-
-    def h_of(weight):
-        return weight - n_minus
-
-    weights = range(n + 1)
-    if h_window is not None:
-        lo, hi = h_window
-        weights = [w for w in weights if lo <= h_of(w) <= hi]
-        weights_set = set(weights)
-    else:
-        weights_set = set(range(n + 1))
-
-    # enumerate admissible choices
-    choices = []
-    for r in range(2**n):
-        if _popcount(r) in weights_set:
-            choices.append(tuple((r >> i) & 1 for i in range(n)))
-
-    circle_arcs = {}
+    n, n_minus = d.n_crossings, d.n_minus
+    lo, hi = h_window if h_window is not None else (-n_minus, n - n_minus)
+    rs = [r for r in range(1 << n) if lo <= r.bit_count() - n_minus <= hi]
+    circle_of, k, first = {}, {}, {}  # by r: {arc: circle}, circle count, first id
     total = 0
-    for ch in choices:
-        circles = d.resolve(ch).circles
-        circle_arcs[ch] = [c.arcs for c in circles]
-        total += 1 << len(circles)
+    for r in rs:
+        circles = d.resolve([r >> i & 1 for i in range(n)]).circles
+        circle_of[r] = {a: j for j, c in enumerate(circles) for a in c.arcs}
+        k[r], first[r] = len(circles), total
+        total += 1 << k[r]
         if total > limit:
             raise ResourceLimit(
-                f"cube reached {total} generators after {len(circle_arcs)} of "
-                f"{len(choices)} resolutions, over the generator limit of {limit} "
+                f"cube reached {total} generators after {len(k)} of "
+                f"{len(rs)} resolutions, over the generator limit of {limit} "
                 f"(--limit or KHLEE_LIMIT)")
 
     cx = GradedComplex()
     cx.pos = {}
-    gen_of = {}
-    for ch in choices:
-        arcs_list = circle_arcs[ch]
-        k = len(arcs_list)
-        w = sum(ch)
-        h = h_of(w)
-        base_q = w + n_plus - 2 * n_minus
-        bits = sum(b << i for i, b in enumerate(ch))
-        for mask in range(1 << k):
-            q = base_q + sum(-1 if (mask >> j) & 1 else 1 for j in range(k))
-            g = gen_of[(ch, mask)] = cx.add_gen(h, q)
-            cx.pos[g] = bits
+    for r in rs:
+        h, q = r.bit_count() - n_minus, r.bit_count() + d.n_plus - 2 * n_minus + k[r]
+        for mask in range(1 << k[r]):
+            cx.pos[cx.add_gen(h, q - 2 * mask.bit_count())] = r
 
-    # the signed saddle maps, each entry one (Fraction, texp) tuple shared by
-    # the whole cube; a saddle writes each (src, tgt) pair once, so nothing
-    # is summed
-    def signed(table, sign):
-        return {key: [((Fraction(sign * c), te), lab) for c, te, lab in terms]
-                for key, terms in table.items()}
-
-    mul = {sign: signed(FrobeniusData.mul, sign) for sign in (1, -1)}
-    comul = {sign: signed(FrobeniusData.comul, sign) for sign in (1, -1)}
     out, inc = cx.out, cx.inc
-
-    for ch in choices:
-        arcs_list = circle_arcs[ch]
-        k = len(arcs_list)
-        arc2circle = {}
-        for j, arcs in enumerate(arcs_list):
-            for a in arcs:
-                arc2circle[a] = j
-        for i in range(n):
-            if ch[i] != 0:
+    tables = {}
+    for r in rs:
+        for i, cross in enumerate(d.crossings):
+            r2 = r | 1 << i
+            if r2 == r or r2 not in first:
                 continue
-            ch2 = ch[:i] + (1,) + ch[i + 1:]
-            if ch2 not in circle_arcs:
-                continue
-            arcs2_list = circle_arcs[ch2]
-            arc2circle2 = {}
-            for j, arcs in enumerate(arcs2_list):
-                for a in arcs:
-                    arc2circle2[a] = j
-            cross = d.crossings[i]
-            involved = sorted({arc2circle[a] for a in cross.ends})
-            involved2 = sorted({arc2circle2[a] for a in cross.ends})
-            sign = -1 if sum(ch[:i]) % 2 else 1
-            # map uninvolved circles by a representative arc
-            carry = {}
-            for j in range(k):
-                if j not in involved:
-                    carry[j] = arc2circle2[min(arcs_list[j])]
-            if len(involved) == 2 and len(involved2) == 1:
-                j1, j2 = involved
-                jt = involved2[0]
-                table = mul[sign]
-                for mask in range(1 << k):
-                    src = gen_of[(ch, mask)]
-                    row = out[src]
-                    base = 0
-                    for j, jt2 in carry.items():
-                        if (mask >> j) & 1:
-                            base |= 1 << jt2
-                    la, lb = (mask >> j1) & 1, (mask >> j2) & 1
-                    for entry, lab in table[(la, lb)]:
-                        tgt = gen_of[(ch2, base | (lab << jt))]
-                        row[tgt] = inc[tgt][src] = entry
-            elif len(involved) == 1 and len(involved2) == 2:
-                j0 = involved[0]
-                jt1, jt2 = involved2
-                table = comul[sign]
-                for mask in range(1 << k):
-                    src = gen_of[(ch, mask)]
-                    row = out[src]
-                    base = 0
-                    for j, jt in carry.items():
-                        if (mask >> j) & 1:
-                            base |= 1 << jt
-                    la = (mask >> j0) & 1
-                    for entry, (l1, l2) in table[la]:
-                        tgt = gen_of[(ch2, base | (l1 << jt1) | (l2 << jt2))]
-                        row[tgt] = inc[tgt][src] = entry
-            else:
+            inv = sorted({circle_of[r][a] for a in cross.ends})
+            inv2 = sorted({circle_of[r2][a] for a in cross.ends})
+            sign = -1 if (r & (1 << i) - 1).bit_count() % 2 else 1
+            if (sign, len(inv), len(inv2)) not in _SADDLES:
                 raise AssertionError(
-                    f"saddle at crossing {i} changed circles by {involved}->{involved2}")
+                    f"saddle at crossing {i} changed circles by {inv}->{inv2}")
+            key = (sign, tuple(inv), tuple(inv2), k[r])
+            if key not in tables:
+                # by label mask of r, the target bits of its other circles, which
+                # keep their order, as resolve sorts circles by least arc
+                bases, moved = [0], iter([t for t in range(k[r2]) if t not in inv2])
+                for j in range(k[r]):
+                    bit = 0 if j in inv else 1 << next(moved)
+                    bases += [base | bit for base in bases]
+                place = {sum(lab << j for lab, j in zip(ins, inv)):
+                         [(entry, sum(lab << t for lab, t in zip(outs, inv2)))
+                          for entry, outs in terms]
+                         for ins, terms in _SADDLES[sign, len(inv), len(inv2)].items()}
+                inv_bits = sum(1 << j for j in inv)
+                tables[key] = [[(entry, base | bits) for entry, bits in place[mask & inv_bits]]
+                               for mask, base in enumerate(bases)]
+            # one saddle writes each (src, tgt) pair once, so nothing is summed
+            f2 = first[r2]
+            for src, terms in enumerate(tables[key], first[r]):
+                for entry, tmask in terms:
+                    out[src][f2 + tmask] = inc[f2 + tmask][src] = entry
 
-    return CubeComplex(d, cx, gen_of, circle_arcs)
+    return CubeComplex(d, cx, first)
 
 
 @dataclass

@@ -111,7 +111,7 @@ def _check_cycle_local(d: OrientedDiagram, res, signs) -> None:
                 "signals a circle-sign computation bug")
 
 
-def lee_generator(d: OrientedDiagram, orientation=None, verify: bool = True) -> LeeChain:
+def lee_generator(d: OrientedDiagram, orientation=None) -> LeeChain:
     """The canonical Lee cycle for the given component orientation."""
     if d.n_components == 0:
         raise KhleeError("the empty diagram has no Lee generator")
@@ -124,8 +124,7 @@ def lee_generator(d: OrientedDiagram, orientation=None, verify: bool = True) -> 
     dd = d.reorient(flips) if flips else d
     res = dd.resolve(dd.oriented_choice())
     signs = dd.seifert_signs(res)
-    if verify:
-        _check_cycle_local(dd, res, signs)
+    _check_cycle_local(dd, res, signs)
     terms = _expand_terms(signs)
     return LeeChain(dd, orientation, tuple(res.choice), tuple(signs), terms)
 

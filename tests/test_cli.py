@@ -132,6 +132,30 @@ def test_limit_flag(capsys):
     assert json.loads(err)["error"] == "ResourceLimit"
 
 
+@pytest.mark.parametrize("flag, env, message", [
+    ("0", None, "--limit must be a positive integer, not 0"),
+    ("-3", None, "--limit must be a positive integer, not -3"),
+    (None, "0", "KHLEE_LIMIT must be a positive integer, not '0'"),
+], ids=["flag-0", "flag-minus-3", "env-0"])
+def test_non_positive_limit_is_a_parse_error(capsys, monkeypatch, flag, env, message):
+    # the scanner's object cap has a floor, so without the check the scan
+    # engine would ignore such a limit
+    if env is not None:
+        monkeypatch.setenv("KHLEE_LIMIT", env)
+    argv = ("--limit", flag) if flag is not None else ()
+    code, out, err = run(capsys, "s", "--builtin", "trefoil+", *argv, "--no-meta")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "ParseError", "message": message}
+
+
+def test_orientation_with_all_orientations_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "s", "--builtin", "hopf+", "--orientation", "+-",
+                         "--all-orientations", "--no-meta")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "ParseError", "message":
+                               "--orientation and --all-orientations exclude each other"}
+
+
 def test_table_output(capsys):
     code, out, _ = run(capsys, "s", "--builtin", "unknot", "--table", "--no-meta")
     assert code == 0

@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import qt
 from .cube import CubeComplex, FilteredComplex, build_cube, specialize_t
 from .diagrams import OrientedDiagram
-from .errors import InconsistentModule, KhleeError, NotACycle
+from .errors import InconsistentModule, KhleeError, NotACycle, ResourceLimit
 from .frobenius import FrobeniusData
 from .linalg import ColumnSpace
 from .reduction import scan_reduce
@@ -31,57 +31,30 @@ from .tlscan import scan_complex, scan_levels
 ENGINES = ("auto", "brute", "scan", "both")
 # brute reports the Q[t]-module, which needs the full cube, up to this size
 MODULE_CROSSING_MAX = 12
+# s_all_orientations computes one report per class, up to this many
+ORIENTATION_CLASS_MAX = 64
 
 
 @dataclass
 class LeeChain:
-    """A rational combination of circle labelings of one resolution."""
+    """The Lee cycle of one orientation: the tensor product of eps_j*1 + x
+    over the circles of its oriented resolution, eps_j the circle's sign."""
 
     diagram: OrientedDiagram  # reoriented per the chain's orientation
     orientation: tuple  # +1/-1 per component of the original diagram
     choice: tuple  # the oriented resolution of the reoriented diagram
     circle_signs: tuple  # Lee sign per circle, in resolution order
-    terms: dict  # label mask -> Fraction
-
-    @property
-    def h(self) -> int:
-        return 0
 
     def q_level(self) -> int:
-        """Minimum generator q-degree over the nonzero terms (recomputed)."""
+        """Minimum generator q-degree over the terms: every term is nonzero,
+        and the all-x one has the least degree."""
         d = self.diagram
-        base = sum(self.choice) + d.n_plus - 2 * d.n_minus
-        k = len(self.circle_signs)
-        best = None
-        for mask, c in self.terms.items():
-            if not c:
-                continue
-            q = base + sum(-1 if (mask >> j) & 1 else 1 for j in range(k))
-            best = q if best is None else min(best, q)
-        if best is None:
-            raise KhleeError("empty Lee chain")
-        return best
+        return sum(self.choice) + d.n_plus - 2 * d.n_minus - len(self.circle_signs)
 
     def conjugate(self) -> "LeeChain":
         """The chain of the globally reversed orientation (all signs flip)."""
-        k = len(self.circle_signs)
-        terms = {}
-        for mask, c in self.terms.items():
-            ones = k - bin(mask).count("1")
-            terms[mask] = c if ones % 2 == 0 else -c
         return LeeChain(self.diagram, tuple(-x for x in self.orientation),
-                        self.choice, tuple(-s for s in self.circle_signs), terms)
-
-
-def _expand_terms(signs) -> dict:
-    terms = {0: Fraction(1)}
-    for j, eps in enumerate(signs):
-        new = {}
-        for mask, c in terms.items():
-            new[mask] = c * eps  # label 1 on circle j
-            new[mask | (1 << j)] = c  # label x on circle j
-        terms = new
-    return terms
+                        self.choice, tuple(-s for s in self.circle_signs))
 
 
 def _check_cycle_local(d: OrientedDiagram, res, signs) -> None:
@@ -125,8 +98,7 @@ def lee_generator(d: OrientedDiagram, orientation=None) -> LeeChain:
     res = dd.resolve(dd.oriented_choice())
     signs = dd.seifert_signs(res)
     _check_cycle_local(dd, res, signs)
-    terms = _expand_terms(signs)
-    return LeeChain(dd, orientation, tuple(res.choice), tuple(signs), terms)
+    return LeeChain(dd, orientation, tuple(res.choice), tuple(signs))
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +149,14 @@ def filtration_level(filtered: FilteredComplex, zvec: dict, h: int = 0) -> int:
 
 
 def lee_vector_in_cube(chain: LeeChain, cube: CubeComplex) -> dict:
-    return {cube.gen(chain.choice, mask): c for mask, c in chain.terms.items() if c}
+    """The Lee cycle on the cube's oriented resolution, the one place its
+    product is expanded: label x on circle j (bit j of the mask) weighs 1
+    and label 1 weighs eps_j.  The cube already holds these 2^k generators,
+    so its generator limit bounds the expansion."""
+    coeffs = [Fraction(1)]
+    for eps in chain.circle_signs:
+        coeffs = [c * eps for c in coeffs] + coeffs
+    return {cube.gen(chain.choice, mask): c for mask, c in enumerate(coeffs)}
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +310,9 @@ def s_all_orientations(d: OrientedDiagram, engine: str = "auto", limit=None):
     ell = d.n_components
     if ell == 0:
         return [s_invariant(d)]
-    if 2 ** (ell - 1) > 64:
-        from .errors import ResourceLimit
-        raise ResourceLimit(f"too many orientation classes for {ell} components")
+    if 2 ** (ell - 1) > ORIENTATION_CLASS_MAX:
+        raise ResourceLimit(f"{2 ** (ell - 1)} orientation classes for {ell} components, "
+                            f"over the budget of {ORIENTATION_CLASS_MAX}")
     reports = []
     for bits in range(2 ** (ell - 1)):
         o = (1,) + tuple(-1 if (bits >> i) & 1 else 1 for i in range(ell - 1))

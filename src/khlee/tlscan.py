@@ -34,13 +34,17 @@ x to 1 and 1 to 0; a dotted cap takes 1 to 1 and x to eps(x^2) = 0; a cup's
 dot is its target label.  So each closed disc pattern is one matrix entry
 of the closed complex, with no expansion over labellings.
 
-The canonical Lee cycle survives the whole process through a tracked
-retraction column, a ``TrackedColumn``: morphisms from its ``source``, the
-oriented-resolution tangle of the scanned prefix, into the current objects,
-plus the boundary slots of the source's arcs and circles, by which the
-closure matches its circles to the Seifert circles and their Lee signs.
-All maps are q-homogeneous, so at t=1 the tracked image keeps the
-filtration level of the class.
+The canonical Lee cycles of o and obar survive the whole process through
+tracked retraction columns, a ``TrackedColumn``: for each, morphisms from
+its ``source``, the oriented-resolution tangle of the scanned prefix, into
+the current objects.  A Lee cycle is the tensor product of eps*1 + x over
+the Seifert circles, eps the circle's Lee sign, so a column caps each
+circle the moment a letter closes it, a plain cap weighing 1 and a dotted
+cap eps, and its source never holds a circle; the closure caps the last
+circles the same way.  Each piece of the source takes eps from the slots
+of the braid diagram it covers.  All maps the columns pass through are
+q-homogeneous, so at t=1 the tracked image keeps the filtration level of
+the class.
 """
 
 from __future__ import annotations
@@ -219,9 +223,10 @@ def _bilinear(plan, fmorph, gmorph):
     return out
 
 
-def _accumulate(acc, key, poly):
-    """acc[key] += poly, dropping the key when the sum is zero."""
-    s = qt.add(acc.get(key, {}), poly)
+def _accumulate(acc, key, value, add=qt.add):
+    """acc[key] += value, a Qt (or a morphism, with add=_add_morphism),
+    dropping the key when the sum is zero."""
+    s = add(acc.get(key, {}), value)
     if s:
         acc[key] = s
     else:
@@ -459,52 +464,68 @@ class ScanComplex:
 
 
 class TrackedColumn:
-    """The tracked Lee column: ``maps`` sends object uids to morphisms from
-    ``source``, the oriented-resolution tangle of the scanned prefix.
+    """The tracked Lee columns: ``maps`` holds, for s_o and then s_obar
+    (none when no chain is tracked), a dict from object uids to morphisms
+    out of ``source``, the oriented-resolution tangle of the scanned prefix
+    with each closed Seifert circle capped.  ``slot_sign`` is the Lee sign
+    at each slot (row, column) of the braid diagram, ``signs`` the sign at
+    each boundary point of the source."""
 
-    ``arc_slots`` (either endpoint of an arc -> slot set) and ``circle_slots`` (one slot
-    set per closed source circle, in order of creation) record which slots
-    (row, column) of the braid diagram each piece of the source covers.
-    """
-
-    def __init__(self, n: int):
+    def __init__(self, n: int, slot_sign=None):
         self.n = n
         self.source = (_vertical_match(n), 0)
-        self.maps = {}
+        self.maps = () if slot_sign is None else ({}, {})
         self.rows = 0
-        self.arc_slots = {p: frozenset(((0, p % n + 1),)) for p in range(2 * n)}
-        self.circle_slots = []
-
-    def add(self, uid, morphism):
-        """maps[uid] += morphism, dropping the entry when the sum is zero."""
-        merged = _add_morphism(self.maps.get(uid, {}), morphism)
-        if merged:
-            self.maps[uid] = merged
-        else:
-            self.maps.pop(uid, None)
+        self.slot_sign = slot_sign
+        if self.maps:
+            self.signs = [slot_sign[(0, p % n + 1)] for p in range(2 * n)]
 
     def extend(self, lobj):
-        """Stack the next letter's oriented resolution lobj on the source.
-        Letter row r has the slots (r - 1, c) at its bottom and (r, c) on top."""
+        """Stack the next letter's oriented resolution lobj on the source
+        and cap each circle this closes, in the maps already pushed through
+        the letter.  Letter row r has the slots (r - 1, c) at its bottom and
+        (r, c) on top."""
         n = self.n
         self.rows += 1
-        slot = [(self.rows - 1, c + 1) for c in range(n)] + [(self.rows, c + 1) for c in range(n)]
-        lslots = [frozenset((slot[p], slot[q])) for p, q in enumerate(lobj[0])]
-        match, least, arcs, loops = _memo(vcomp, self.source[0], lobj[0])
+        match, _least, arcs, loops = _memo(vcomp, self.source[0], lobj[0])
+        self.source = (match, 0)
+        if not self.maps:
+            return
+        at = [self.slot_sign[(self.rows - 1 + p // n, p % n + 1)] for p in range(2 * n)]
+        lsigns = [_one_sign({at[p], at[q]}) for p, q in enumerate(lobj[0])]
 
-        def slots(trace):
-            return frozenset().union(*((lslots if side else self.arc_slots)[p] for side, p in trace))
+        def sign(trace):
+            return _one_sign({(lsigns if side else self.signs)[p] for side, p in trace})
 
-        self.source = (match, self.source[1] + len(least))
-        self.circle_slots += [slots(trace) for trace in loops]
-        self.arc_slots = {p: slots(trace) for p, trace in enumerate(arcs)}
+        eps = [sign(trace) for trace in loops]
+        self.signs = [sign(trace) for trace in arcs]
+        if eps:
+            for maps, flip in zip(self.maps, (1, -1)):
+                for uid, f in list(maps.items()):
+                    del maps[uid]
+                    _accumulate(maps, uid, _cap_source(f, [flip * e for e in eps]), _add_morphism)
 
-    def closed_circle_slots(self):
-        """Slot sets of the source's circles after the trace closure, in
-        ``close_morphism``'s order: own circles, then closure circles."""
-        return self.circle_slots + [
-            frozenset().union(*(self.arc_slots[p] for p in circ))
-            for circ in close_object(self.source, self.n)]
+
+def _one_sign(signs):
+    """The Lee sign shared by the pieces of one scan arc or circle, given as
+    the set of their signs."""
+    if len(signs) != 1:
+        raise KhleeError("could not match a scan circle to a Seifert circle")
+    return signs.pop()
+
+
+def _cap_source(m, eps):
+    """Cap the source circles, bits 0..k-1 of m, with eps_j*1 + x on circle
+    j: a plain cap weighs 1 and a dotted cap eps_j."""
+    k = len(eps)
+    out = {}
+    for mask, poly in m.items():
+        c = 1
+        for j, e in enumerate(eps):
+            if mask >> j & 1:
+                c *= e
+        _accumulate(out, mask >> k, poly if c == 1 else {t: v * c for t, v in poly.items()})
+    return out
 
 
 def _is_unit_entry(cx: ScanComplex, src, tgt):
@@ -542,12 +563,13 @@ def _eliminate(cx: ScanComplex, tracked: TrackedColumn):
         outs = [(f, mf) for f, mf in cx.out[b].items() if f != c0]
         ins = [(e, me) for e, me in cx.inc[c0].items() if e != b]
         # tracked column retraction: r(b) = 0, r(c0) = -(1/lam) gamma
-        tracked.maps.pop(b, None)
-        tc = tracked.maps.pop(c0, None)
-        if tc:
-            for f, mf in outs:
-                tracked.add(f, _scale_morphism(
-                    compose(tc, tracked.source, B_obj, mf, cx.obj[f]), fac))
+        for maps in tracked.maps:
+            maps.pop(b, None)
+            tc = maps.pop(c0, None)
+            if tc:
+                for f, mf in outs:
+                    _accumulate(maps, f, _scale_morphism(
+                        compose(tc, tracked.source, B_obj, mf, cx.obj[f]), fac), _add_morphism)
         cx.remove_object(b)
         cx.remove_object(c0)
         for e, me in ins:
@@ -569,7 +591,7 @@ def _deloop_all(cx: ScanComplex, tracked: TrackedColumn):
         match, k = cx.obj[uid]
         h, q = cx.h[uid], cx.q[uid]
         ins, outs = list(cx.inc[uid].items()), list(cx.out[uid].items())
-        tm = tracked.maps.pop(uid, None)
+        tms = [maps.pop(uid, None) for maps in tracked.maps]
         cx.remove_object(uid)
         for up in range(1 << k):
             new = cx.add_object((match, 0), h, q + 2 * up.bit_count() - k)
@@ -578,8 +600,9 @@ def _deloop_all(cx: ScanComplex, tracked: TrackedColumn):
                 cx.set_entry(src, new, _cap_circles(m_in, cx.obj[src][1], k, down))
             for tgt, m_out in outs:
                 cx.set_entry(new, tgt, _cap_circles(m_out, 0, k, up))
-            if tm:
-                tracked.add(new, _cap_circles(tm, tracked.source[1], k, down))
+            for maps, tm in zip(tracked.maps, tms):
+                if tm:
+                    _accumulate(maps, new, _cap_circles(tm, 0, k, down), _add_morphism)
 
 
 def _cap_circles(m, pos, k, dots):
@@ -613,9 +636,9 @@ def _horizontal_match(n, col):
 # the scan itself
 
 
-def scan_word(d: OrientedDiagram, limit=None, track_lee: bool = True, h_window=None):
-    """Scan the diagram's braid word; return the reduced free complex and,
-    when track_lee, the Lee cycle images for (s_o, s_obar).
+def scan_word(d: OrientedDiagram, limit=None, chain=None, h_window=None):
+    """Scan the diagram's braid word; return the closed free complex and,
+    when a Lee ``chain`` of d is given, the tracked columns of (s_o, s_obar).
 
     ``h_window=(lo, hi)`` drops, after each letter's elimination, every object
     that can no longer reach a final homological degree in [lo, hi]: with p
@@ -633,8 +656,10 @@ def scan_word(d: OrientedDiagram, limit=None, track_lee: bool = True, h_window=N
     n = word.strands
     cap = max(generator_limit(limit) // 8, 4096)
     cx = ScanComplex(n, cap)
-    tracked = TrackedColumn(n)
-    tracked.add(cx.add_object(tracked.source, 0, 0), identity_morphism(tracked.source))
+    tracked = TrackedColumn(n, None if chain is None else _slot_signs(chain))
+    start = cx.add_object(tracked.source, 0, 0)
+    for maps in tracked.maps:
+        maps[start] = identity_morphism(tracked.source)
 
     or_choice = d.oriented_choice()
     cidx = 0  # crossing index of the next sigma letter
@@ -675,7 +700,7 @@ def scan_word(d: OrientedDiagram, limit=None, track_lee: bool = True, h_window=N
                     m -= 1
             _cut_to_window(cx, tracked, lo - p, hi + m)
 
-    return _close_and_reduce(cx, tracked, track_lee)
+    return _close_and_reduce(cx, tracked)
 
 
 def _cut_to_window(cx: ScanComplex, tracked: TrackedColumn, lo, hi):
@@ -686,7 +711,7 @@ def _cut_to_window(cx: ScanComplex, tracked: TrackedColumn, lo, hi):
     in degree 0, so a window that cuts it is an error.
     """
     for uid in [u for u, h in cx.h.items() if not lo <= h <= hi]:
-        if uid in tracked.maps:
+        if any(uid in maps for maps in tracked.maps):
             raise KhleeError(f"the tracked Lee column reached an object of degree "
                              f"{cx.h[uid]}, outside the scan window [{lo}, {hi}]")
         cx.remove_object(uid)
@@ -726,17 +751,20 @@ def _tensor_letter(cx: ScanComplex, tracked: TrackedColumn, letter_objects, sadd
     for uid in old_objects:
         cx.remove_object(uid)
 
-    # push the tracked column through the tensor, then grow its source
+    # push the tracked columns through the tensor, then grow their source
     lobj_or = letter_objects[orres][0]
-    old_maps, tracked.maps = tracked.maps, {}
-    for uid, f in old_maps.items():
-        if lobj_or != vertical:
-            f = stack(f, tracked.source, old_objects[uid], _PLAIN, lobj_or, lobj_or)
-        tracked.add(new_uid[(uid, orres)], f)
+    for maps in tracked.maps:
+        old_maps = dict(maps)
+        maps.clear()
+        for uid, f in old_maps.items():
+            if lobj_or != vertical:
+                f = stack(f, tracked.source, old_objects[uid], _PLAIN, lobj_or, lobj_or)
+            if f:
+                maps[new_uid[(uid, orres)]] = f
     tracked.extend(lobj_or)
 
 
-def _close_and_reduce(cx: ScanComplex, tracked: TrackedColumn, track_lee):
+def _close_and_reduce(cx: ScanComplex, tracked: TrackedColumn):
     """Trace closure and full delooping: an object with k circles (its own
     and those of the closure) gives 2^k generators, one per labelling of
     the circles by 1 and x."""
@@ -757,43 +785,44 @@ def _close_and_reduce(cx: ScanComplex, tracked: TrackedColumn, track_lee):
                 for e, c in poly.items():
                     gc.add_entry(gs, gt, c, e)
 
-    src_maps = {}
-    if track_lee:
-        for uid, fm in tracked.maps.items():
-            src_maps[uid] = close_morphism(fm, tracked.source, cx.obj[uid])
-    return _ScanClosure(gc, gen_of, src_maps, tracked.closed_circle_slots())
+    src_maps = [{uid: close_morphism(fm, tracked.source, cx.obj[uid]) for uid, fm in maps.items()}
+                for maps in tracked.maps]
+    signs = [_one_sign({tracked.signs[p] for p in circ})
+             for circ in close_object(tracked.source, n)] if src_maps else []
+    return _ScanClosure(gc, gen_of, src_maps, signs)
 
 
 class _ScanClosure:
     """Closed scan output pending Lee-vector evaluation and final reduction."""
 
-    def __init__(self, gc, gen_of, src_maps, source_circle_slots):
+    def __init__(self, gc, gen_of, src_maps, closure_signs):
         self.gc = gc
         self.gen_of = gen_of
-        self.src_maps = src_maps
-        self.source_circle_slots = source_circle_slots
+        self.src_maps = src_maps  # the closed maps of s_o and s_obar
+        self.closure_signs = closure_signs  # per circle of the source's closure
 
-    def lee_vectors(self, circle_sign_of_slotset):
+    def lee_vectors(self):
         """Vectors for s_o and s_obar over the closed complex generators: the
-        tracked maps applied to eps*1 + x on each Seifert circle, eps its
-        sign for s_o and minus its sign for s_obar.  A plain cap takes that
-        element to 1 and a dotted cap to eps.
-
-        circle_sign_of_slotset: function mapping a slot frozenset to +-1."""
-        signs = [circle_sign_of_slotset(ss) for ss in self.source_circle_slots]
-        k = len(signs)
+        closed maps with eps*1 + x capped on each closure circle of the
+        source, eps its sign for s_o and minus its sign for s_obar."""
         vectors = []
-        for flip in (1, -1):
+        for maps, flip in zip(self.src_maps, (1, -1)):
+            eps = [flip * e for e in self.closure_signs]
             vec = {}
-            for uid, closed in self.src_maps.items():
-                for ms, mt, poly in _closed_entries(closed, k):
-                    c = 1
-                    for j in range(k):
-                        if not ms >> j & 1:  # a dotted cap
-                            c *= flip * signs[j]
-                    _accumulate(vec, self.gen_of[(uid, mt)], {e: v * c for e, v in poly.items()})
+            for uid, closed in maps.items():
+                for mt, poly in _cap_source(closed, eps).items():
+                    _accumulate(vec, self.gen_of[(uid, mt)], poly)
             vectors.append(vec)
         return tuple(vectors)
+
+
+def _slot_signs(chain):
+    """The Lee sign at each slot (row, column) of the braid diagram: that of
+    the Seifert circle through it."""
+    dd = chain.diagram
+    res = dd.resolve(chain.choice)
+    return {slot: eps for circle, eps in zip(res.circles, chain.circle_signs)
+            for a in circle.arcs for slot in dd.arcs[a].slots}
 
 
 def scan_levels(dd: OrientedDiagram, chain, limit=None, want_module=True):
@@ -801,19 +830,9 @@ def scan_levels(dd: OrientedDiagram, chain, limit=None, want_module=True):
     from .lee import _reduced_levels_from_tracked
 
     # the level solve reads degrees -1 and 0 only; the module needs them all
-    closure = scan_word(dd, limit=limit, track_lee=True,
+    closure = scan_word(dd, limit=limit, chain=chain,
                         h_window=None if want_module else (-1, 0))
-    res = dd.resolve(dd.oriented_choice())
-    slot2sign = {slot: sgn for circ, sgn in zip(res.circles, chain.circle_signs)
-                 for a in circ.arcs for slot in dd.arcs[a].slots}
-
-    def sign_of(slotset):
-        hits = {slot2sign[s] for s in slotset if s in slot2sign}
-        if len(hits) != 1:
-            raise KhleeError("could not match a scan circle to a Seifert circle")
-        return hits.pop()
-
-    vo, vbar = closure.lee_vectors(sign_of)
+    vo, vbar = closure.lee_vectors()
     red, (vo, vbar) = scan_reduce(closure.gc, tracked=[vo, vbar])
     levels = _reduced_levels_from_tracked(red, vo, vbar)
     summary = None
@@ -825,5 +844,5 @@ def scan_levels(dd: OrientedDiagram, chain, limit=None, want_module=True):
 
 def scan_complex(d: OrientedDiagram, limit=None) -> GradedComplex:
     """The reduced deformed complex of a braid closure, via scanning."""
-    closure = scan_word(d, limit=limit, track_lee=False)
+    closure = scan_word(d, limit=limit)
     return scan_reduce(closure.gc)

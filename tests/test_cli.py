@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -47,6 +48,14 @@ def test_lee_command(capsys):
     data = json.loads(out)
     assert data["lee_dims_t1"] == {"0": 2, "2": 2}
     assert len(data["generator_filtration_levels"]) == 2
+
+
+def test_lee_scan_output_digest(capsys):
+    # the whole lee report of F_2(2) through the scanner, byte for byte:
+    # the module at t=1 and the levels of all four orientation classes
+    code, out, _ = run(capsys, "lee", "--builtin", "F_2(2)", "--engine", "scan", "--no-meta")
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == "fc27edf44cd9f417b48cef3c9cd44c9f"
 
 
 def test_ssr_s_command(capsys):

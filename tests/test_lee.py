@@ -14,13 +14,13 @@ def D(n, letters, orient=()):
 
 def test_unknot_generator():
     chain = lee_generator(D(1, ()))
-    assert len(chain.terms) == 2
+    assert chain.circle_signs == (1,)
     assert chain.q_level() == -1
 
 
 def test_unlink_generator():
     chain = lee_generator(D(2, ()))
-    assert len(chain.terms) == 4
+    assert chain.circle_signs == (1, 1)
     assert chain.q_level() == -2
 
 
@@ -35,6 +35,63 @@ def test_conjugate_flips_signs():
     conj = chain.conjugate()
     assert conj.circle_signs == tuple(-s for s in chain.circle_signs)
     assert conj.q_level() == chain.q_level()
+
+
+def _expanded_cycle(signs):
+    """Oracle: the Lee cycle's 2^k terms, label mask -> coefficient, bit j
+    set for label x on circle j, which weighs 1 (label 1 weighs eps_j)."""
+    terms = {0: 1}
+    for j, eps in enumerate(signs):
+        new = {}
+        for mask, c in terms.items():
+            new[mask] = c * eps
+            new[mask | 1 << j] = c
+        terms = new
+    return terms
+
+
+def test_q_level_and_cube_vector_match_the_expanded_cycle():
+    # the closed-form q-level is the least degree over the expanded terms,
+    # and the cube vector holds exactly those terms, for o and for obar
+    from khlee.corpus import small_corpus
+
+    for name, d in small_corpus():
+        if d.n_components == 0:
+            continue
+        chain = lee_generator(d)
+        k = len(chain.circle_signs)
+        terms = _expanded_cycle(chain.circle_signs)
+        # reversing every component flips each factor's sign: (-1)^(# labels 1)
+        bar_terms = {m: c * (-1) ** (k - bin(m).count("1")) for m, c in terms.items()}
+        for ch, want in ((chain, terms), (chain.conjugate(), bar_terms)):
+            dd = ch.diagram
+            base = sum(ch.choice) + dd.n_plus - 2 * dd.n_minus
+            assert ch.q_level() == min(base + k - 2 * bin(m).count("1")
+                                       for m, c in want.items() if c), name
+            if dd.n_crossings <= 6:
+                cube = build_cube(dd, h_window=(-1, 0))
+                assert lee_vector_in_cube(ch, cube) == {
+                    cube.gen(ch.choice, m): c for m, c in want.items()}, name
+
+
+def test_lee_generator_on_32_circles():
+    # F_2(4)'s class (1, -1, -1, 1) has 32 Seifert circles: the chain keeps
+    # their signs, never a 2^32-term table
+    from khlee.corpus import builtin_diagram
+
+    chain = lee_generator(builtin_diagram("F_2(4)"), (1, -1, -1, 1))
+    assert len(chain.circle_signs) == 32
+    assert set(chain.circle_signs) == {1, -1}
+    assert chain.conjugate().circle_signs == tuple(-e for e in chain.circle_signs)
+
+
+def test_orientation_class_budget_message():
+    from khlee.corpus import builtin_diagram
+    from khlee.errors import ResourceLimit
+
+    with pytest.raises(ResourceLimit, match=r"^128 orientation classes for 8 components, "
+                                            r"over the budget of 64$"):
+        s_all_orientations(builtin_diagram("U_8"))
 
 
 def test_filtration_levels():

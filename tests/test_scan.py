@@ -193,14 +193,14 @@ def test_scan_generator_counts():
     expect = {"T(5,5)": (1000, 54), "Wh+(trefoil+,2)": (622, 24),
               "F_2(2)": (432, 46), "C_(3,2)(2)": (70, 16)}
     for name, (closed, reduced) in expect.items():
-        closure = scan_word(builtin_diagram(name), track_lee=False)
+        closure = scan_word(builtin_diagram(name))
         assert closure.gc.n_gens == closed, name
         assert scan_reduce(closure.gc).n_gens == reduced, name  # = scan_complex(d).n_gens
     # the same scans windowed to degrees -1 and 0, as the s-invariant runs them
     expect_windowed = {"T(5,5)": (32, 32), "Wh+(trefoil+,2)": (156, 126),
                        "F_2(2)": (94, 90), "C_(3,2)(2)": (8, 8)}
     for name, (closed, reduced) in expect_windowed.items():
-        closure = scan_word(builtin_diagram(name), track_lee=False, h_window=(-1, 0))
+        closure = scan_word(builtin_diagram(name), h_window=(-1, 0))
         assert closure.gc.n_gens == closed, name
         assert scan_reduce(closure.gc).n_gens == reduced, name
 
@@ -224,7 +224,7 @@ def test_scan_entry_counts(monkeypatch):
     for name, (full, windowed) in expect.items():
         for window, total in ((None, full), ((-1, 0), windowed)):
             counts.clear()
-            tlscan.scan_word(builtin_diagram(name), track_lee=False, h_window=window)
+            tlscan.scan_word(builtin_diagram(name), h_window=window)
             assert sum(counts) == total, (name, window)
 
 
@@ -299,16 +299,69 @@ def test_window_never_cuts_the_tracked_column():
     from khlee.tlscan import ScanComplex, TrackedColumn, _cut_to_window, identity_morphism
 
     cx = ScanComplex(2, object_cap=8)
-    tracked = TrackedColumn(2)
+    tracked = TrackedColumn(2, {(0, 1): 1, (0, 2): -1})
     obj = tracked.source
     kept = cx.add_object(obj, 0, 0)
     cx.add_object(obj, 2, 0)
-    tracked.add(kept, identity_morphism(obj))
+    tracked.maps[1][kept] = identity_morphism(obj)
     _cut_to_window(cx, tracked, -1, 1)
     assert set(cx.obj) == {kept}
     with pytest.raises(KhleeError, match=r"tracked Lee column reached an object of degree 0, "
                                          r"outside the scan window \[1, 1\]"):
         _cut_to_window(cx, tracked, 1, 1)
+
+
+def test_f2_3_all_orientations():
+    # every class of F_2(3), among them (1, -1, -1, 1) with 24 Seifert circles
+    from khlee.corpus import builtin_diagram
+    from khlee.lee import s_all_orientations
+
+    reports = s_all_orientations(builtin_diagram("F_2(3)"), engine="scan")
+    assert [(r.orientation, r.s, r.s_min, r.s_max, r.s_plus) for r in reports] == [
+        ((1, 1, 1, 1), -3, -4, -2, -1), ((1, -1, 1, 1), 3, 2, 4, 5),
+        ((1, 1, -1, 1), 3, 2, 4, 5), ((1, -1, -1, 1), -3, -4, -2, -1),
+        ((1, 1, 1, -1), 3, 2, 4, 5), ((1, -1, 1, -1), -3, -4, -2, -1),
+        ((1, 1, -1, -1), 33, 32, 34, 33), ((1, -1, -1, -1), 3, 2, 4, 5)]
+
+
+def test_tracked_columns_stay_small(monkeypatch):
+    # each Seifert circle is capped as soon as it closes, so the two tracked
+    # maps of windowed F_2(4) stay at a few dozen terms in all
+    from khlee import tlscan
+    from khlee.corpus import builtin_diagram
+
+    sizes = []
+
+    def measured(fn):
+        def run(cx, tracked, *args):
+            fn(cx, tracked, *args)
+            sizes.append(sum(len(m) for maps in tracked.maps for m in maps.values()))
+        return run
+
+    for name in ("_tensor_letter", "_deloop_all", "_eliminate"):
+        monkeypatch.setattr(tlscan, name, measured(getattr(tlscan, name)))
+    rep = s_invariant(builtin_diagram("F_2(4)"), engine="scan", with_module=False,
+                      _compute_plus=False)
+    assert (rep.s, rep.s_min) == (-3, -4)
+    assert 0 < max(sizes) <= 40
+
+
+def test_a_piece_with_the_wrong_sign_is_caught(monkeypatch):
+    # a slot whose Lee sign disagrees with the rest of its Seifert circle
+    # stops the scan instead of capping the circle with a wrong weight
+    from khlee import tlscan
+    from khlee.corpus import builtin_diagram
+
+    slot_signs = tlscan._slot_signs
+
+    def one_flipped(chain):
+        signs = slot_signs(chain)
+        signs[(1, 1)] = -signs[(1, 1)]
+        return signs
+
+    monkeypatch.setattr(tlscan, "_slot_signs", one_flipped)
+    with pytest.raises(KhleeError, match="could not match a scan circle to a Seifert circle"):
+        s_invariant(builtin_diagram("trefoil+"), engine="scan", with_module=False)
 
 
 def _closed_scan_with_lee_vectors(d):
@@ -317,17 +370,8 @@ def _closed_scan_with_lee_vectors(d):
     from khlee.tlscan import scan_word
 
     chain = lee_generator(d)
-    dd = chain.diagram
-    res = dd.resolve(dd.oriented_choice())
-    sign = {slot: eps for circle, eps in zip(res.circles, chain.circle_signs)
-            for a in circle.arcs for slot in dd.arcs[a].slots}
-
-    def sign_of(slots):
-        (eps,) = {sign[slot] for slot in slots if slot in sign}
-        return eps
-
-    closure = scan_word(dd, track_lee=True)
-    return closure, closure.lee_vectors(sign_of)
+    closure = scan_word(chain.diagram, chain=chain)
+    return closure, closure.lee_vectors()
 
 
 @pytest.mark.parametrize("name", ["trefoil+", "hopf+", "Wh+(trefoil+,2)", "F_2(2)",

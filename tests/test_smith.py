@@ -79,7 +79,7 @@ def test_module_matches_snf_oracle_on_cubes():
 @pytest.mark.parametrize("name", ["T(4,4)", "Wh+(trefoil+,2)", "F_2(2)"])
 def test_module_matches_snf_oracle_on_scan_closures(name):
     # the scanner's closed complex before any elimination
-    closure = scan_word(builtin_diagram(name), track_lee=False)
+    closure = scan_word(builtin_diagram(name))
     assert _module(closure.gc) == module_by_snf(closure.gc)
 
 

@@ -7,12 +7,16 @@ coordinates are stored.  The faces come from the rotation system at the
 crossings, and a checkerboard colouring of the faces gives the signs of the
 canonical Lee cycles (``seifert_signs``).
 
-Diagrams are immutable in practice: every operation returns a new diagram.
+A diagram is its arcs: the crossings, their signs and the component count
+are derived from them once, when it is built.  Diagrams and arcs are
+immutable; every operation returns a new diagram, which shares the arcs it
+leaves unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 from .errors import BadComponent, NonPlanar, OrientationConflict, ParseError
@@ -80,11 +84,6 @@ class BraidWord:
             self.orientation,
         )
 
-    def __mul__(self, other: "BraidWord") -> "BraidWord":
-        if other.strands != self.strands or other.orientation != self.orientation:
-            raise ParseError("can only concatenate words on matching strands")
-        return BraidWord(self.strands, self.letters + other.letters, self.orientation)
-
 
 # ---------------------------------------------------------------------------
 # Diagram data types
@@ -93,14 +92,14 @@ class BraidWord:
 @dataclass(frozen=True)
 class Crossing:
     """ends[0] is the incoming under-strand arc; positions run
-    counterclockwise (the PD convention)."""
+    counterclockwise (the PD convention).  Derived from the arcs."""
 
     id: int
     sign: int
     ends: tuple
 
 
-@dataclass
+@dataclass(frozen=True)
 class Arc:
     id: int
     component: int
@@ -127,22 +126,54 @@ class Resolution:
 _SMOOTHING_PAIRS = {0: ((0, 1), (2, 3)), 1: ((1, 2), (3, 0))}
 
 
-class OrientedDiagram:
-    """Immutable oriented link diagram, stored as a planar map."""
+def _turned(arcs, turn):
+    """arcs with the ends at each crossing c renumbered p -> p - turn[c]
+    (mod 4); an arc whose ends do not move is kept."""
+    def move(end):
+        return end and (end[0], (end[1] - turn[end[0]]) % 4)
 
-    def __init__(self, crossings, arcs, n_components, braid=None,
-                 col_component=None, slot_direction=None):
-        self.crossings = list(crossings)
+    out = {}
+    for a in arcs.values():
+        tail, head = move(a.tail), move(a.head)
+        out[a.id] = a if (tail, head) == (a.tail, a.head) else \
+            Arc(a.id, a.component, tail, head, a.slots)
+    return out
+
+
+class OrientedDiagram:
+    """Immutable oriented link diagram, stored as a planar map: its arcs.
+
+    Each crossing's ends, its sign (positive iff the over strand enters at
+    position 3), the component count and, for a braid closure, the
+    component at each closure point (0, c) are derived from the arcs."""
+
+    def __init__(self, arcs, braid=None, slot_direction=None):
         self.arcs = dict(arcs)
-        self.n_components = n_components
         self.braid = braid
-        self.col_component = col_component  # per closure column, braid-built only
         # (row, col) -> True when the strand flows upward there (braid-built)
         self.slot_direction = slot_direction
-        self._arc_at = {}
-        for c in self.crossings:
-            for p, a in enumerate(c.ends):
-                self._arc_at[(c.id, p)] = a
+        self._arc_at = at = {}
+        heads = set()
+        for a in self.arcs.values():
+            if not a.closed:
+                at[a.tail] = at[a.head] = a.id
+                heads.add(a.head)
+        self.crossings = []
+        for cid in sorted({cid for cid, _ in heads}):
+            in0, in1, in2, in3 = [(cid, p) in heads for p in range(4)]
+            if not in0 or in2 or in1 == in3:
+                raise OrientationConflict(f"arc orientations conflict at crossing {cid}")
+            self.crossings.append(Crossing(cid, 1 if in3 else -1,
+                                           tuple([at[(cid, p)] for p in range(4)])))
+        self.n_components = 1 + max((a.component for a in self.arcs.values()), default=-1)
+
+    @cached_property
+    def col_component(self):
+        """The component at each closure point (0, c) of a braid closure."""
+        if self.braid is None:
+            return None
+        comp_at = {s: a.component for a in self.arcs.values() for s in a.slots if s[0] == 0}
+        return tuple(comp_at[(0, c)] for c in range(1, self.braid.strands + 1))
 
     # -- elementary statistics ------------------------------------------------
 
@@ -335,22 +366,11 @@ class OrientedDiagram:
     # -- transforms ------------------------------------------------------------
 
     def mirror(self) -> "OrientedDiagram":
-        """Flip every crossing (over <-> under)."""
-        new_crossings = []
-        moved = {}  # (cid, old position) -> (cid, new position)
-        for c in self.crossings:
-            # the incoming over end becomes the incoming under end, position 0
-            r = 1 if self.arcs[c.ends[1]].head == (c.id, 1) else 3
-            ends = tuple(c.ends[(i + r) % 4] for i in range(4))
-            new_crossings.append(Crossing(c.id, -c.sign, ends))
-            for old in range(4):
-                moved[(c.id, old)] = (c.id, (old - r) % 4)
-        arcs = {a.id: replace(a, tail=moved.get(a.tail), head=moved.get(a.head))
-                for a in self.arcs.values()}
+        """Flip every crossing (over <-> under): the incoming over end, at
+        position 3 or 1, becomes position 0."""
+        arcs = _turned(self.arcs, {c.id: 3 if c.sign > 0 else 1 for c in self.crossings})
         braid = self.braid.mirror() if self.braid else None
-        return OrientedDiagram(new_crossings, arcs, self.n_components, braid=braid,
-                               col_component=self.col_component,
-                               slot_direction=self.slot_direction)
+        return OrientedDiagram(arcs, braid=braid, slot_direction=self.slot_direction)
 
     def reorient(self, flips) -> "OrientedDiagram":
         """Reverse the orientation of the given set of component indices."""
@@ -358,37 +378,15 @@ class OrientedDiagram:
         for f in flips:
             if not 0 <= f < self.n_components:
                 raise BadComponent(f"component {f} out of range")
-        arcs = {}
-        for a in self.arcs.values():
-            if a.component in flips:
-                arcs[a.id] = replace(a, tail=a.head, head=a.tail)
-            else:
-                arcs[a.id] = replace(a)
-        new_crossings = []
-        for c in self.crossings:
-            under_flipped = self.arcs[c.ends[0]].component in flips
-            r = 2 if under_flipped else 0
-            ends = tuple(c.ends[(i + r) % 4] for i in range(4))
-            if r:
-                for aid in set(ends):
-                    a = arcs[aid]
-                    arcs[aid] = replace(
-                        a,
-                        tail=self._remap_slot(a.tail, c.id, r),
-                        head=self._remap_slot(a.head, c.id, r),
-                    )
-            # sign: positive iff the over strand comes in at position 3
-            a1, a3 = arcs[ends[1]], arcs[ends[3]]
-            in1 = a1.head == (c.id, 1)
-            in3 = a3.head == (c.id, 3)
-            if in1 == in3:
-                raise OrientationConflict("over strand flow is inconsistent")
-            new_crossings.append(Crossing(c.id, 1 if in3 else -1, ends))
+        arcs = {a.id: replace(a, tail=a.head, head=a.tail) if a.component in flips else a
+                for a in self.arcs.values()}
+        # where the under strand turns round, its new incoming end is position 2
+        arcs = _turned(arcs, {c.id: 2 if self.arcs[c.ends[0]].component in flips else 0
+                                   for c in self.crossings})
         braid = None
-        col_component = self.col_component
-        if self.braid is not None and col_component is not None:
+        if self.braid is not None:
             flags = list(self.braid.orientation)
-            for ci, comp in enumerate(col_component):
+            for ci, comp in enumerate(self.col_component):
                 if comp in flips:
                     flags[ci] = not flags[ci]
             braid = BraidWord(self.braid.strands, self.braid.letters, tuple(flags))
@@ -399,15 +397,7 @@ class OrientedDiagram:
                 if a.component in flips:
                     for slot in a.slots:
                         slot_direction[slot] = not slot_direction[slot]
-        return OrientedDiagram(new_crossings, arcs, self.n_components, braid=braid,
-                               col_component=col_component,
-                               slot_direction=slot_direction)
-
-    @staticmethod
-    def _remap_slot(slot, cid, r):
-        if slot and slot[0] == cid:
-            return (cid, (slot[1] - r) % 4)
-        return slot
+        return OrientedDiagram(arcs, braid=braid, slot_direction=slot_direction)
 
     def reverse(self) -> "OrientedDiagram":
         return self.reorient(range(self.n_components))
@@ -479,18 +469,13 @@ def from_braid(b: BraidWord) -> OrientedDiagram:
     order = sorted(range(len(traces)), key=lambda t: min(traces[t]))
     rank = {t: r for r, t in enumerate(order)}
 
-    # each crossing's ends start at its incoming under corner; the sign is
-    # positive iff the over strand comes in at position 3
-    under, signs = [], []
-    for k in sigmas:
-        in_a = 0 if slot_direction[(k, cols[k])] else 2  # strand BL -- TR
-        in_b = 1 if slot_direction[(k, cols[k] + 1)] else 3  # strand BR -- TL
-        u, o = (in_b, in_a) if letters[k] > 0 else (in_a, in_b)
-        under.append(u)
-        signs.append(1 if (o - u) % 4 == 3 else -1)
+    # each crossing's ends start at its incoming under corner: the strand
+    # BR -- TL passes under a positive letter, BL -- TR under a negative one
+    under = [(1 if slot_direction[(k, cols[k] + 1)] else 3) if letters[k] > 0
+             else (0 if slot_direction[(k, cols[k])] else 2) for k in sigmas]
 
     # 2. cut an arc from each outgoing corner, in letter order BL, BR, TL, TR
-    arcs, end_at = {}, {}
+    arcs = {}
     for cid, k in enumerate(sigmas):
         i = cols[k]
         for corner, j, c, up in ((0, k, i, False), (1, k, i + 1, False),
@@ -504,7 +489,6 @@ def from_braid(b: BraidWord) -> OrientedDiagram:
                 j, c, up, head = step(j, c, up)
             head = (head[0], (head[1] - under[head[0]]) % 4)
             arcs[aid] = Arc(aid, comp, tail=tail, head=head, slots=frozenset(points))
-            end_at[tail] = end_at[head] = aid
 
     # 3. the crossingless loops, at their first piece in letter order: caps,
     # cups and straights of each letter, then the closure arcs
@@ -523,14 +507,7 @@ def from_braid(b: BraidWord) -> OrientedDiagram:
             loops.discard(t)
             aid = len(arcs)
             arcs[aid] = Arc(aid, rank[t], tail=None, head=None, slots=frozenset(traces[t]))
-
-    # 4. the crossings' ends, counterclockwise from the incoming under end
-    crossings = [Crossing(cid, sign, tuple(end_at[(cid, p)] for p in range(4)))
-                 for cid, sign in enumerate(signs)]
-    col_component = tuple(rank[comp_at[(0, c)]] for c in range(1, n + 1))
-    return OrientedDiagram(crossings, arcs, len(traces), braid=b,
-                           col_component=col_component,
-                           slot_direction=slot_direction)
+    return OrientedDiagram(arcs, braid=b, slot_direction=slot_direction)
 
 
 # ---------------------------------------------------------------------------
@@ -564,18 +541,13 @@ def _merge(d1: OrientedDiagram, d2: OrientedDiagram) -> OrientedDiagram:
     are shifted past d1's.  The result is not braid-built."""
     coff = len(d1.crossings)
     aoff = (max(d1.arcs) + 1) if d1.arcs else 0
-    comp_off = d1.n_components
-    crossings = list(d1.crossings)
     arcs = dict(d1.arcs)
-    for c in d2.crossings:
-        crossings.append(Crossing(c.id + coff, c.sign,
-                                  tuple(e + aoff for e in c.ends)))
     for a in d2.arcs.values():
         arcs[a.id + aoff] = Arc(
-            a.id + aoff, a.component + comp_off,
+            a.id + aoff, a.component + d1.n_components,
             tail=(a.tail[0] + coff, a.tail[1]) if a.tail else None,
             head=(a.head[0] + coff, a.head[1]) if a.head else None)
-    return OrientedDiagram(crossings, arcs, d1.n_components + d2.n_components)
+    return OrientedDiagram(arcs)
 
 
 def connect_sum(d1: OrientedDiagram, c1: int, d2: OrientedDiagram, c2: int) -> OrientedDiagram:
@@ -589,10 +561,8 @@ def connect_sum(d1: OrientedDiagram, c1: int, d2: OrientedDiagram, c2: int) -> O
         raise BadComponent(f"component {c1} out of range")
     if not 0 <= c2 < d2.n_components:
         raise BadComponent(f"component {c2} out of range")
-    merged = _merge(d1, d2)
-    arcs = merged.arcs
+    arcs = _merge(d1, d2).arcs
     aoff = (max(d1.arcs) + 1) if d1.arcs else 0
-    old_c2 = c2 + d1.n_components
     a1 = arcs[min(a.id for a in d1.arcs.values() if a.component == c1)]
     a2 = arcs[min(a.id for a in d2.arcs.values() if a.component == c2) + aoff]
     if a2.closed:
@@ -602,24 +572,12 @@ def connect_sum(d1: OrientedDiagram, c1: int, d2: OrientedDiagram, c2: int) -> O
     else:
         arcs[a1.id] = replace(a1, head=a2.head)
         arcs[a2.id] = replace(a2, head=a1.head)
-
-    # renumber components: old_c2 merges into c1
-    remap = {}
-    nxt = 0
-    for comp in range(d1.n_components + d2.n_components):
-        if comp == old_c2:
-            continue
-        remap[comp] = nxt
-        nxt += 1
-    remap[old_c2] = remap[c1]
-    slot_arc = {}
-    for aid, a in list(arcs.items()):
-        arcs[aid] = replace(a, component=remap[a.component])
-        if not a.closed:
-            slot_arc[a.tail] = slot_arc[a.head] = aid
-    crossings = [Crossing(c.id, c.sign, tuple(slot_arc[(c.id, p)] for p in range(4)))
-                 for c in merged.crossings]
-    return OrientedDiagram(crossings, arcs, d1.n_components + d2.n_components - 1)
+    # d2's component c2 merges into c1, and the ones after it move down
+    old_c2 = c2 + d1.n_components
+    for aid, a in arcs.items():
+        comp = c1 if a.component == old_c2 else a.component - (a.component > old_c2)
+        arcs[aid] = replace(a, component=comp)
+    return OrientedDiagram(arcs)
 
 
 # convenience wrappers matching the public operation names

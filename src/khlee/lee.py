@@ -44,6 +44,7 @@ class LeeChain:
     orientation: tuple  # +1/-1 per component of the original diagram
     choice: tuple  # the oriented resolution of the reoriented diagram
     circle_signs: tuple  # Lee sign per circle, in resolution order
+    circles: tuple  # the arc ids of each circle, in resolution order
 
     def q_level(self) -> int:
         """Minimum generator q-degree over the terms: every term is nonzero,
@@ -54,7 +55,7 @@ class LeeChain:
     def conjugate(self) -> "LeeChain":
         """The chain of the globally reversed orientation (all signs flip)."""
         return LeeChain(self.diagram, tuple(-x for x in self.orientation),
-                        self.choice, tuple(-s for s in self.circle_signs))
+                        self.choice, tuple(-s for s in self.circle_signs), self.circles)
 
 
 def _check_cycle_local(d: OrientedDiagram, res, signs) -> None:
@@ -98,7 +99,8 @@ def lee_generator(d: OrientedDiagram, orientation=None) -> LeeChain:
     res = dd.resolve(dd.oriented_choice())
     signs = dd.seifert_signs(res)
     _check_cycle_local(dd, res, signs)
-    return LeeChain(dd, orientation, tuple(res.choice), tuple(signs))
+    return LeeChain(dd, orientation, tuple(res.choice), tuple(signs),
+                    tuple(c.arcs for c in res.circles))
 
 
 # ---------------------------------------------------------------------------

@@ -819,10 +819,9 @@ class _ScanClosure:
 def _slot_signs(chain):
     """The Lee sign at each slot (row, column) of the braid diagram: that of
     the Seifert circle through it."""
-    dd = chain.diagram
-    res = dd.resolve(chain.choice)
-    return {slot: eps for circle, eps in zip(res.circles, chain.circle_signs)
-            for a in circle.arcs for slot in dd.arcs[a].slots}
+    arcs = chain.diagram.arcs
+    return {slot: eps for circle, eps in zip(chain.circles, chain.circle_signs)
+            for a in circle for slot in arcs[a].slots}
 
 
 def scan_levels(dd: OrientedDiagram, chain, limit=None, want_module=True):

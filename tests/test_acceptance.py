@@ -90,7 +90,7 @@ def test_criterion_4_fpq_regression():
                 continue
             for k in (1, 2):
                 if p + q == 0:
-                    got = s_invariant(OrientedDiagram([], {}, 0),
+                    got = s_invariant(OrientedDiagram({}),
                                       with_module=False).s
                 else:
                     d = insert_twists(builtin_ssr(f"F_{p},{q}"), (k,))

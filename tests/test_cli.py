@@ -100,6 +100,16 @@ def test_error_json_and_exit_code(capsys):
     assert data["error"] == "ParseError"
 
 
+def test_pd_under_passages_that_disagree(capsys):
+    # the right trefoil with crossing 0 turned one step: its new under
+    # strand leaves where the other crossings' under passages say it enters
+    code, out, err = run(capsys, "s", "--pd", "PD[X(2,5,1,4), X(6,4,1,3), X(2,6,3,5)]",
+                         "--no-meta")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "OrientationConflict",
+                               "message": "arc orientations conflict at crossing 0"}
+
+
 @pytest.mark.parametrize("argv, message", [
     (("s", "--braid", "braid x: 1"), "bad strand count 'x'"),
     (("s", "--braid", "braid 2: a"), "bad braid letter 'a'"),

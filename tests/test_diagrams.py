@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -64,6 +65,32 @@ def test_orientation_conflict():
     # mixed pattern cannot be realized
     with pytest.raises(OrientationConflict):
         closure(2, (1,), (True, False))
+
+
+def test_constructor_checks_the_pd_convention():
+    hopf = closure(2, (1, 1))
+    dg.OrientedDiagram(hopf.arcs)  # the braid closure's arcs pass
+    # one arc turned round: its crossings' under strands no longer enter at
+    # position 0 and leave at 2
+    turned = dict(hopf.arcs)
+    turned[0] = replace(turned[0], tail=turned[0].head, head=turned[0].tail)
+    with pytest.raises(OrientationConflict):
+        dg.OrientedDiagram(turned)
+    # both over ends of a crossing incoming
+    a = dg.Arc
+    bad = {0: a(0, 0, (0, 2), (0, 0)), 1: a(1, 1, (0, 3), (0, 1)), 2: a(2, 1, (1, 0), (0, 3)),
+           3: a(3, 1, (1, 2), (1, 0)), 4: a(4, 1, (1, 3), (1, 1))}
+    with pytest.raises(OrientationConflict):
+        dg.OrientedDiagram(bad)
+
+
+def test_arcs_are_frozen():
+    d = closure(2, (1, 1, 1))
+    with pytest.raises(FrozenInstanceError):
+        d.arcs[0].head = None
+    # the mirror keeps its crossingless circles' arcs, the same objects
+    u = closure(2, ())
+    assert all(u.mirror().arcs[k] is a for k, a in u.arcs.items())
 
 
 def test_mirror_and_reverse():

@@ -136,7 +136,7 @@ def test_report_invariants():
 
 
 def test_empty_link_convention():
-    rep = s_invariant(from_braid(BraidWord(1, ())).__class__([], {}, 0, {}, {}))
+    rep = s_invariant(from_braid(BraidWord(1, ())).__class__({}))
     assert rep.s == 1
     assert rep.s_minus == 1 and rep.s_plus == 1
 

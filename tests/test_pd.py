@@ -1,7 +1,10 @@
+import hashlib
+import random
+
 import pytest
 
-from khlee.diagrams import BraidWord, disjoint_union, from_braid
-from khlee.errors import NonPlanar, ParseError
+from khlee.diagrams import BraidWord, connect_sum, disjoint_union, from_braid
+from khlee.errors import KhleeError, NonPlanar, OrientationConflict, ParseError
 from khlee.lee import s_invariant
 from khlee.pdcode import parse_pd
 
@@ -91,3 +94,69 @@ def test_pd_not_3_connected():
         rep = s_invariant(parse_pd(code), with_module=False)
         ref = s_invariant(from_braid(BraidWord(n, word)), engine="scan", with_module=False)
         assert (rep.s, rep.s_plus) == (ref.s, ref.s_plus)
+
+
+def _pd_fields(d):
+    """Every value of a diagram, with the arcs in their dict order."""
+    return ([(c.id, c.sign, c.ends) for c in d.crossings],
+            [(k, a.id, a.component, a.tail, a.head, sorted(a.slots))
+             for k, a in d.arcs.items()],
+            d.n_components, d.col_component,
+            None if d.slot_direction is None else sorted(d.slot_direction.items()))
+
+
+def _seeded_pd_codes(count=700, seed=17):
+    """PD codes of random braid closures with relabelled arcs, and copies
+    with some crossings turned one step (over and under swap, which can
+    break the orientation), with one entry pair transposed (which can break
+    planarity), or with a label repeated."""
+    rng = random.Random(seed)
+    while count:
+        n = rng.randint(2, 5)
+        letters = [rng.choice((1, -1)) * rng.randint(1, n - 1)
+                   for _ in range(rng.randint(1, 9))]
+        try:
+            d = from_braid(BraidWord(n, tuple(letters),
+                                     tuple(rng.random() < 0.5 for _ in range(n))))
+        except OrientationConflict:
+            continue
+        if any(a.closed for a in d.arcs.values()):
+            continue
+        labels = rng.sample(range(1, 3 * len(d.arcs) + 1), len(d.arcs))
+        xs = [[labels[a] for a in c.ends] for c in d.crossings]
+        kind = rng.random()
+        if kind < 0.4:
+            for x in xs:
+                if rng.random() < 0.3:
+                    x[:] = x[1:] + x[:1]
+        elif kind < 0.5:
+            x = rng.choice(xs)
+            x[1], x[3] = x[3], x[1]
+        elif kind < 0.55:
+            rng.choice(xs)[rng.randrange(4)] = rng.choice(labels)
+        rng.shuffle(xs)
+        code = "PD[" + ", ".join("X(%d,%d,%d,%d)" % tuple(x) for x in xs) + "]"
+        yield code
+        count -= 1
+
+
+def test_parse_pd_and_transforms_are_pinned():
+    # every value parse_pd, mirror, reorient, connect_sum and disjoint_union
+    # give on seeded codes, and the error class of each malformed one
+    records, valid = [], []
+    for code in _seeded_pd_codes():
+        try:
+            d = parse_pd(code)
+        except KhleeError as e:
+            records.append(type(e).__name__)
+            continue
+        valid.append(d)
+        records.append([_pd_fields(d), _pd_fields(d.mirror())]
+                       + [_pd_fields(d.reorient({i})) for i in range(d.n_components)])
+    for d1, d2 in zip(valid[:40:2], valid[1:40:2]):
+        records.append([_pd_fields(connect_sum(d1, 0, d2, d2.n_components - 1)),
+                        _pd_fields(disjoint_union(d1, d2))])
+    kinds = {r for r in records if isinstance(r, str)}
+    assert kinds == {"OrientationConflict", "NonPlanar", "ParseError"}
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digest == "8807f53aeab57e0e9766bb2a7f9c8e282fb7bce2bfbab766befbe0f014e259b2"

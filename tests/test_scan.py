@@ -4,7 +4,7 @@ import pytest
 
 from khlee.corpus import random_braids, torus_word
 from khlee.cube import build_cube
-from khlee.diagrams import BraidWord, from_braid
+from khlee.diagrams import BraidWord, OrientedDiagram, from_braid
 from khlee.errors import KhleeError
 from khlee.lee import s_invariant
 from khlee.smith import homology_qt
@@ -398,3 +398,15 @@ def test_closed_evaluator_gives_a_complex_and_lee_cycles(name):
             for tgt, v in at_one.out[g].items():
                 image[tgt] = image.get(tgt, 0) + c * v
         assert not any(image.values())
+
+
+def test_one_resolve_per_tracked_scan(monkeypatch):
+    # the scanner reads the oriented resolution's circles from the Lee chain
+    # and does not resolve the diagram again
+    calls = []
+    resolve = OrientedDiagram.resolve
+    monkeypatch.setattr(OrientedDiagram, "resolve",
+                        lambda self, choice: calls.append(choice) or resolve(self, choice))
+    d = from_braid(BraidWord(3, (1, 1, -2, 1, ("e", 1), -2), (True, True, False)))
+    s_invariant(d, engine="scan", with_module=False, _compute_plus=False)
+    assert len(calls) == 1

@@ -26,12 +26,6 @@ from .diagrams import (
     connect_sum,
     disjoint_union,
     from_braid,
-    linking_matrix,
-    mirror,
-    oriented_choice,
-    resolve,
-    reverse,
-    seifert_count,
 )
 from .pdcode import parse_pd
 from .frobenius import FrobeniusData

@@ -7,18 +7,7 @@ import re
 
 from .diagrams import BraidWord, OrientedDiagram, from_braid
 from .errors import OrientationConflict, ParseError
-from .ssr import SsrDiagram, _full_twist_letters
-
-
-def torus_word(p: int, q: int) -> tuple:
-    """(s_1 ... s_{p-1})^q on p strands; q < 0 gives the mirror."""
-    if p < 1:
-        raise ParseError("torus braid needs p >= 1")
-    row = tuple(range(1, p))
-    word = row * abs(q)
-    if q < 0:
-        word = tuple(-x for x in reversed(word))
-    return word
+from .ssr import SsrDiagram, _full_twist_letters, torus_word
 
 
 def braid_unknot() -> BraidWord:

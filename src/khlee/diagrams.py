@@ -514,14 +514,6 @@ def from_braid(b: BraidWord) -> OrientedDiagram:
 # Diagram combination operations
 
 
-def mirror(d: OrientedDiagram) -> OrientedDiagram:
-    return d.mirror()
-
-
-def reverse(d: OrientedDiagram) -> OrientedDiagram:
-    return d.reverse()
-
-
 def disjoint_union(d1: OrientedDiagram, d2: OrientedDiagram) -> OrientedDiagram:
     if d1.braid is not None and d2.braid is not None:
         b1, b2 = d1.braid, d2.braid
@@ -579,21 +571,3 @@ def connect_sum(d1: OrientedDiagram, c1: int, d2: OrientedDiagram, c2: int) -> O
         arcs[aid] = replace(a, component=comp)
     return OrientedDiagram(arcs)
 
-
-# convenience wrappers matching the public operation names
-
-
-def oriented_choice(d: OrientedDiagram):
-    return d.oriented_choice()
-
-
-def resolve(d: OrientedDiagram, choice):
-    return d.resolve(choice)
-
-
-def seifert_count(d: OrientedDiagram) -> int:
-    return d.seifert_count()
-
-
-def linking_matrix(d: OrientedDiagram):
-    return d.linking_matrix()

@@ -8,9 +8,11 @@ Both engines end in the same tail: build a complex (``brute``: the cube of
 resolutions; ``scan``: the tangle scanner's closure), eliminate its unit
 entries with the Lee cycles tracked through the retraction
 (``reduction.scan_reduce``), and solve for the filtration levels on what is
-left.  The level of [z] is the q-degree of the first coordinate at which z
-stops being reducible modulo boundaries.  ``run_engine`` picks the engine
-for every caller, and under ``both`` checks one against the other.
+left.  The levels read the cycles at t = 1 only, and setting t := 1 is a
+ring map, so the cycles are tracked as their values there.  The level of
+[z] is the q-degree of the first coordinate at which z stops being
+reducible modulo boundaries.  ``run_engine`` picks the engine for every
+caller, and under ``both`` checks one against the other.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import qt
 from .cube import CubeComplex, FilteredComplex, build_cube, specialize_t
 from .diagrams import OrientedDiagram
 from .errors import InconsistentModule, KhleeError, NotACycle, ResourceLimit
@@ -94,6 +95,9 @@ def lee_generator(d: OrientedDiagram, orientation=None) -> LeeChain:
     orientation = tuple(orientation)
     if len(orientation) != d.n_components:
         raise KhleeError("orientation vector length must equal component count")
+    for s in orientation:
+        if s not in (1, -1):
+            raise KhleeError(f"orientation entry {s!r} is not +1 or -1")
     flips = {i for i, s in enumerate(orientation) if s < 0}
     dd = d.reorient(flips) if flips else d
     res = dd.resolve(dd.oriented_choice())
@@ -153,9 +157,10 @@ def filtration_level(filtered: FilteredComplex, zvec: dict, h: int = 0) -> int:
 def lee_vector_in_cube(chain: LeeChain, cube: CubeComplex) -> dict:
     """The Lee cycle on the cube's oriented resolution, the one place its
     product is expanded: label x on circle j (bit j of the mask) weighs 1
-    and label 1 weighs eps_j.  The cube already holds these 2^k generators,
-    so its generator limit bounds the expansion."""
-    coeffs = [Fraction(1)]
+    and label 1 weighs eps_j, so every coefficient is the int +1 or -1.  The
+    cube already holds these 2^k generators, so its generator limit bounds
+    the expansion."""
+    coeffs = [1]
     for eps in chain.circle_signs:
         coeffs = [c * eps for c in coeffs] + coeffs
     return {cube.gen(chain.choice, mask): c for mask, c in enumerate(coeffs)}
@@ -198,32 +203,22 @@ def _brute_levels(dd: OrientedDiagram, chain: LeeChain, limit, want_module=False
     """
     want_module = want_module and dd.n_crossings <= MODULE_CROSSING_MAX
     cube = build_cube(dd, limit=limit, h_window=None if want_module else (-1, 0))
-    vo = {g: qt.mono(c) for g, c in lee_vector_in_cube(chain, cube).items()}
-    vbar = {g: qt.mono(c) for g, c in lee_vector_in_cube(chain.conjugate(), cube).items()}
-    red, (vo, vbar) = scan_reduce(cube.complex, tracked=[vo, vbar])
+    vectors = [lee_vector_in_cube(ch, cube) for ch in (chain, chain.conjugate())]
+    red, (vo, vbar) = scan_reduce(cube.complex, tracked=vectors)
     levels = _reduced_levels_from_tracked(red, vo, vbar)
     return levels, homology_qt(red) if want_module else None
 
 
 def _reduced_levels_from_tracked(red, vo, vbar):
-    """The four levels, on a reduced complex with tracked vectors (Qt)."""
+    """The four levels, on a reduced complex with the tracked Lee vectors
+    ({generator: Fraction}, their values at t = 1)."""
     filt = specialize_t(red, 1)
-
-    def at1(v):
-        out = {}
-        for g, poly in v.items():
-            c = qt.eval_at(poly, 1)
-            if c:
-                out[g] = c
-        return out
-
-    zo, zbar = at1(vo), at1(vbar)
     gens_h0 = [g for g, hh in filt.gen_h.items() if hh == 0]
     cols = [dict(filt.out[src]) for src in filt.gens_at(-1) if filt.out[src]]
     solver = _level_solver(filt.gen_q, gens_h0, cols)
-    plus = {g: zo.get(g, Fraction(0)) + zbar.get(g, Fraction(0)) for g in set(zo) | set(zbar)}
-    minus = {g: zo.get(g, Fraction(0)) - zbar.get(g, Fraction(0)) for g in set(zo) | set(zbar)}
-    return solver(zo), solver(zbar), solver(plus), solver(minus)
+    plus = {g: vo.get(g, 0) + vbar.get(g, 0) for g in set(vo) | set(vbar)}
+    minus = {g: vo.get(g, 0) - vbar.get(g, 0) for g in set(vo) | set(vbar)}
+    return solver(vo), solver(vbar), solver(plus), solver(minus)
 
 
 def run_engine(d: OrientedDiagram, engine, brute, scan, checked):

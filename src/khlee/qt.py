@@ -3,7 +3,8 @@
 Elements are stored as {exponent: Fraction} with no zero values.  Homogeneity
 of the chain complexes keeps every differential entry a single monomial
 c*t^k, stored as a (coeff, exponent) pair; this generic representation is
-for the tracked Lee vectors and the tangle scanner's morphism coefficients.
+for the Frobenius algebra's tables and the tangle scanner's morphism
+coefficients.
 """
 
 from __future__ import annotations
@@ -57,12 +58,4 @@ def scale(a: Qt, coeff) -> Qt:
 def shift(a: Qt, exp: int) -> Qt:
     """Multiply by t^exp."""
     return {e + exp: v for e, v in a.items()}
-
-
-def eval_at(a: Qt, value) -> Fraction:
-    v = Fraction(value)
-    total = Fraction(0)
-    for e, c in a.items():
-        total += c * v**e
-    return total
 

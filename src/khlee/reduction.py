@@ -8,7 +8,9 @@ lower exponent is left, so its pivot divides its whole row and column.
   is a chain-homotopy equivalence (D. Bar-Natan, "Fast Khovanov homology
   computations", JKTR 16, 2007).  ``scan_reduce`` is this pass, with
   optional tracked vectors pushed through the retraction so Lee cycles
-  keep their homology classes and quantum filtration levels.
+  keep their homology classes and quantum filtration levels.  The levels
+  read a cycle at t = 1 only, and setting t := 1 is a ring map, so a
+  tracked vector holds its values there: the retraction's t-powers are 1.
 - Pivots go by least Markowitz count (row length times column length,
   taken when queued).  On a cube of resolutions ``build_cube`` records
   each generator's resolution bitmask in ``cx.pos``, and at k = 0 the bit
@@ -23,7 +25,7 @@ The elimination runs on plain dictionaries with Python ``int``
 coefficients, falling back to ``Fraction`` only where a pivot does not
 divide; ``scan_reduce`` builds its result once through
 ``GradedComplex.add_entry``, which turns every coefficient back into a
-``Fraction``.
+``Fraction``, and hands out the tracked vectors with ``Fraction`` values.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 
-from . import qt
 from .complexes import GradedComplex
 from .errors import KhleeError
 
@@ -81,8 +82,8 @@ def eliminate(out, inc, k, vectors=(), pos=None):
     k, and splits (b, c0) off as a summand with homology Q[t]/(t^k) at c0
     (none when k = 0).  The entries into b and out of c0 vanish in the new
     basis because d o d = 0, so they are dropped.  ``vectors`` ({generator:
-    Qt}) follow the same change of basis in place.  Returns the eliminated
-    (b, c0) pairs in order.
+    number}, values at t = 1) follow the same change of basis in place.
+    Returns the eliminated (b, c0) pairs in order.
 
     ``pos`` ({generator: int}), when given, puts the bit length of
     pos[b] ^ pos[c0] in front of the Markowitz count in the pivot key.
@@ -108,17 +109,18 @@ def eliminate(out, inc, k, vectors=(), pos=None):
         outs = [(f, _quotient(-gc, lam), ge - k) for f, (gc, ge) in row_b.items()
                 if f != c0]
         ins = [(e, ce) for e, ce in inc[c0].items() if e != b]
-        # retraction on tracked vectors: r(b) = 0, r(c0) = sum of the factors' f
+        # retraction on tracked vectors: r(b) = 0, r(c0) = sum of the factors' f,
+        # each t-power 1 at t = 1
         for v in vectors:
             vc = v.pop(c0, None)
             v.pop(b, None)
             if vc:
-                for f, fac, ge in outs:
-                    merged = qt.add(v.get(f, {}), qt.scale(qt.shift(vc, ge), fac))
-                    if merged:
-                        v[f] = merged
+                for f, fac, _ge in outs:
+                    s = v.get(f, 0) + vc * fac
+                    if s:
+                        v[f] = s
                     else:
-                        v.pop(f, None)
+                        del v[f]
         for g in (b, c0):
             for tgt in out.pop(g):
                 del inc[tgt][g]
@@ -151,9 +153,10 @@ def eliminate(out, inc, k, vectors=(), pos=None):
 def scan_reduce(cx: GradedComplex, tracked=None):
     """Reduce until no invertible (t^0) entry remains.
 
-    ``tracked`` is a list of vectors {generator id: Qt}; copies are rewritten
-    through each elimination's retraction.  The positions of a cube
-    (``cx.pos``) order the pivots as in ``eliminate``.  Returns the reduced
+    ``tracked`` is a list of vectors {generator id: number}, the values of
+    cycles at t = 1; copies are rewritten through each elimination's
+    retraction and come back as {generator id: Fraction}.  The positions of
+    a cube (``cx.pos``) order the pivots as in ``eliminate``.  Returns the reduced
     complex, or (reduced complex, tracked copies) when ``tracked`` is given.
     ``cx`` is not modified.
     """
@@ -169,7 +172,4 @@ def scan_reduce(cx: GradedComplex, tracked=None):
             red.add_entry(src, tgt, c, e)
     if tracked is None:
         return red
-    # tracked vectors may arrive with int coefficients (the scan engine's)
-    vectors = [{g: {e: Fraction(c) for e, c in p.items()} for g, p in v.items()}
-               for v in vectors]
-    return red, vectors
+    return red, [{g: Fraction(c) for g, c in v.items()} for v in vectors]

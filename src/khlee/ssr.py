@@ -19,23 +19,28 @@ from .errors import KhleeError, NotNullHomologous, NotPositive, ParseError
 from .lee import s_invariant
 
 
+def torus_word(p: int, q: int) -> tuple:
+    """(s_1 ... s_{p-1})^q on p strands; q < 0 gives the mirror."""
+    if p < 1:
+        raise ParseError("torus braid needs p >= 1")
+    row = tuple(range(1, p))
+    word = row * abs(q)
+    if q < 0:
+        word = tuple(-x for x in reversed(word))
+    return word
+
+
 def full_twist(n: int, k: int, offset: int = 0) -> BraidWord:
     """The full twist FT_n^k as a braid word ((s_1 ... s_{n-1})^n)^k on
     n + offset strands, acting on columns offset+1 .. offset+n."""
     if n < 1:
         raise ParseError("full twist needs at least one strand")
-    letters = _full_twist_letters(n, k, offset)
-    return BraidWord(n + offset, letters)
+    return BraidWord(n + offset, _full_twist_letters(n, k, offset))
 
 
 def _full_twist_letters(n: int, k: int, offset: int = 0) -> tuple:
-    if n < 2 or k == 0:
-        return ()
-    row = tuple(range(offset + 1, offset + n))
-    word = row * n
-    if k > 0:
-        return word * k
-    return tuple(-x for x in reversed(word)) * (-k)
+    """FT_n^k = T(n, nk), each letter moved ``offset`` columns right."""
+    return tuple(x + offset if x > 0 else x - offset for x in torus_word(n, n * k))
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,10 @@ from .reduction import _exact, _quotient, scan_reduce
 
 # Morphism coefficients are Q[t] dicts like ``qt``'s, but kept as Python ints
 # wherever they are integral; only ``_eliminate`` can divide by a non-unit.
-# ``GradedComplex.add_entry`` and ``scan_reduce`` hand out Fractions again.
+# ``GradedComplex.add_entry`` hands out Fractions again.  The tracked columns
+# stay Q[t] morphisms while they compose with the complex's; only the closure
+# evaluates them at t = 1, and ``scan_reduce`` hands those values out as
+# Fractions.
 _ONE = {0: 1}
 # Undotted discs on every curve: the identity of a circle-free object, a
 # saddle, and the second factor of a closure, which glues one morphism alone.
@@ -802,16 +805,22 @@ class _ScanClosure:
         self.closure_signs = closure_signs  # per circle of the source's closure
 
     def lee_vectors(self):
-        """Vectors for s_o and s_obar over the closed complex generators: the
-        closed maps with eps*1 + x capped on each closure circle of the
-        source, eps its sign for s_o and minus its sign for s_obar."""
+        """Vectors for s_o and s_obar over the closed complex generators, as
+        their values at t = 1: the closed maps with eps*1 + x capped on each
+        closure circle of the source, eps its sign for s_o and minus its sign
+        for s_obar, each entry the sum of its coefficients."""
         vectors = []
         for maps, flip in zip(self.src_maps, (1, -1)):
             eps = [flip * e for e in self.closure_signs]
             vec = {}
             for uid, closed in maps.items():
                 for mt, poly in _cap_source(closed, eps).items():
-                    _accumulate(vec, self.gen_of[(uid, mt)], poly)
+                    g = self.gen_of[(uid, mt)]
+                    c = vec.get(g, 0) + sum(poly.values())
+                    if c:
+                        vec[g] = c
+                    else:
+                        vec.pop(g, None)
             vectors.append(vec)
         return tuple(vectors)
 

@@ -30,6 +30,19 @@ def test_hopf_cycles_both_orientations():
     lee_generator(d, (1, -1))  # raises NotACycle on a bug
 
 
+@pytest.mark.parametrize("orientation", [(1, 0), (1, 2)])
+def test_orientation_entries_must_be_signs(orientation):
+    # an entry other than +1/-1 is an error, not the orientation (1, 1)
+    from khlee.errors import KhleeError
+
+    d = D(2, (1, 1))
+    match = f"orientation entry {orientation[1]} is not"
+    with pytest.raises(KhleeError, match=match):
+        lee_generator(d, orientation)
+    with pytest.raises(KhleeError, match=match):
+        s_invariant(d, orientation)
+
+
 def test_conjugate_flips_signs():
     chain = lee_generator(D(2, (1, 1, 1)))
     conj = chain.conjugate()
@@ -224,3 +237,21 @@ def test_brute_module_report_matches_scan_on_f2_1():
 
     d = builtin_diagram("F_2(1)")
     assert s_invariant(d, engine="brute").to_dict() == s_invariant(d, engine="scan").to_dict()
+
+
+def test_s_reports_are_pinned():
+    # every value s_all_orientations gives on the named corpus, and the full
+    # report (module and s_+) on its diagrams of at most 8 crossings, with
+    # both engines
+    import hashlib
+
+    from khlee.corpus import small_corpus
+
+    records = []
+    for _name, d in small_corpus():
+        for engine in ("brute", "scan"):
+            records.append([r.to_dict() for r in s_all_orientations(d, engine=engine)])
+            if d.n_crossings <= 8:
+                records.append(s_invariant(d, engine=engine).to_dict())
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digest == "e6ea38ec5225d187fcb6b3e2f1e870edbaaa9b96f1e75732006dac86eab91fd1"

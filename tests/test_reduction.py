@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from khlee import qt
 from khlee.complexes import GradedComplex
 from khlee.corpus import random_braids, small_corpus, torus_word
 from khlee.cube import build_cube, specialize_t
@@ -74,9 +73,8 @@ def test_tracked_vector_retraction_preserves_class():
         d = from_braid(BraidWord(n, letters, orient))
         chain = lee_generator(d)
         cube = build_cube(d)
-        vo = {g: qt.mono(c) for g, c in lee_vector_in_cube(chain, cube).items()}
-        vbar = {g: qt.mono(c) for g, c in
-                lee_vector_in_cube(chain.conjugate(), cube).items()}
+        vo = lee_vector_in_cube(chain, cube)
+        vbar = lee_vector_in_cube(chain.conjugate(), cube)
         red, (vo, vbar) = scan_reduce(cube.complex, tracked=[vo, vbar])
         reduced = _reduced_levels_from_tracked(red, vo, vbar)
         assert _raw_window_levels(d, chain) == reduced
@@ -118,8 +116,8 @@ def _window_levels(d, chain, ordered):
     from khlee.lee import _reduced_levels_from_tracked, lee_vector_in_cube
 
     cube = _cube(d, ordered, h_window=(-1, 0))
-    vo = {g: qt.mono(c) for g, c in lee_vector_in_cube(chain, cube).items()}
-    vbar = {g: qt.mono(c) for g, c in lee_vector_in_cube(chain.conjugate(), cube).items()}
+    vo = lee_vector_in_cube(chain, cube)
+    vbar = lee_vector_in_cube(chain.conjugate(), cube)
     red, (vo, vbar) = scan_reduce(cube.complex, tracked=[vo, vbar])
     return _reduced_levels_from_tracked(red, vo, vbar)
 
@@ -188,18 +186,19 @@ def test_inhomogeneous_entry_raises():
 
 def test_non_dividing_pivot_stays_exact():
     # d(b) = 2 c0 + t f and d(e) = t c0: the only unit pivot is 2, and the
-    # fill-in e -> f is -1/2 t^2
+    # fill-in e -> f is -1/2 t^2; the tracked c0 retracts to -1/2 t f, which
+    # is -1/2 f at t = 1
     cx = GradedComplex()
     b, c0, f, e = cx.add_gen(0, 0), cx.add_gen(1, 0), cx.add_gen(1, 4), cx.add_gen(0, -4)
     cx.add_entry(b, c0, 2, 0)
     cx.add_entry(b, f, 1, 1)
     cx.add_entry(e, c0, 1, 1)
-    red, (v,) = scan_reduce(cx, tracked=[{c0: qt.mono(1)}])
+    red, (v,) = scan_reduce(cx, tracked=[{c0: 1}])
     assert red.gens() == [f, e]
     assert red.out[e] == {f: (Fraction(-1, 2), 2)}
     assert type(red.out[e][f][0]) is Fraction
-    assert v == {f: {1: Fraction(-1, 2)}}
-    assert type(v[f][1]) is Fraction
+    assert v == {f: Fraction(-1, 2)}
+    assert type(v[f]) is Fraction
     assert cx.n_gens == 4  # the input is left alone
 
 
@@ -212,11 +211,10 @@ def test_reduced_coefficients_are_fractions():
         tracked = []
         if d.n_components:
             chain = lee_generator(d)
-            tracked = [{g: qt.mono(c) for g, c in lee_vector_in_cube(ch, cube).items()}
-                       for ch in (chain, chain.conjugate())]
+            tracked = [lee_vector_in_cube(ch, cube) for ch in (chain, chain.conjugate())]
         red, vectors = scan_reduce(cube.complex, tracked=tracked)
         for v in vectors:
-            assert all(type(c) is Fraction for poly in v.values() for c in poly.values())
+            assert all(type(c) is Fraction for c in v.values())
         reduced = [red] if d.braid is None else [red, scan_complex(d)]
         for cx in reduced:
             for row in list(cx.out.values()) + list(cx.inc.values()):
@@ -242,4 +240,4 @@ def test_scan_tracked_vectors_are_fractions(monkeypatch):
     assert len(handed) >= len(braids)
     for vectors in handed:
         for v in vectors:
-            assert all(type(c) is Fraction for poly in v.values() for c in poly.values())
+            assert all(type(c) is Fraction for c in v.values())

@@ -381,7 +381,6 @@ def test_closed_evaluator_gives_a_complex_and_lee_cycles(name):
     # closed cobordisms; a fault in it breaks d^2 = 0 or the cycle condition
     from khlee.corpus import builtin_diagram
     from khlee.cube import specialize_t
-    from khlee.qt import eval_at
 
     if name == "turnback":
         d = from_braid(BraidWord(3, (-1, 2, ("e", 1)), (True, False, True)))
@@ -391,7 +390,6 @@ def test_closed_evaluator_gives_a_complex_and_lee_cycles(name):
     closure.gc.check_d_squared()
     at_one = specialize_t(closure.gc, 1)
     for vec in vectors:
-        vec = {g: eval_at(p, 1) for g, p in vec.items()}
         assert any(vec.values())
         image = {}
         for g, c in vec.items():

@@ -36,10 +36,8 @@ from .smith import HomologySummary, homology_qt
 from .lee import (
     LeeChain,
     SReport,
-    filtration_level,
     lee_generator,
     s_all_orientations,
-    s_from_module,
     s_invariant,
 )
 from .ssr import (

@@ -269,6 +269,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if args.json and args.table:
+            raise ParseError("--json and --table exclude each other")
         return args.func(args)
     except KhleeError as e:
         print(json.dumps({"error": type(e).__name__, "message": str(e)}),

@@ -49,6 +49,8 @@ class GradedComplex:
             return
         if self.gen_h[tgt] != self.gen_h[src] + 1:
             raise KhleeError("differential must raise h by one")
+        if texp < 0:
+            raise KhleeError(f"entry {src}->{tgt} with a negative power t^{texp}")
         if self.gen_q[tgt] != self.gen_q[src] + 4 * texp:
             raise KhleeError(
                 f"inhomogeneous entry {src}->{tgt}: q {self.gen_q[src]} -> "
@@ -67,12 +69,6 @@ class GradedComplex:
 
     def gens_at(self, h: int):
         return sorted(g for g, hh in self.gen_h.items() if hh == h)
-
-    def h_range(self):
-        if not self.gen_h:
-            return (0, -1)
-        hs = self.gen_h.values()
-        return (min(hs), max(hs))
 
     # -- checks -------------------------------------------------------------------
 

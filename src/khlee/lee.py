@@ -18,15 +18,14 @@ caller, and under ``both`` checks one against the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .cube import CubeComplex, FilteredComplex, build_cube, specialize_t
+from .cube import CubeComplex, build_cube, specialize_t
 from .diagrams import OrientedDiagram
 from .errors import InconsistentModule, KhleeError, NotACycle, ResourceLimit
 from .frobenius import FrobeniusData
 from .linalg import ColumnSpace
 from .reduction import scan_reduce
-from .smith import HomologySummary, homology_qt
+from .smith import homology_qt
 from .tlscan import scan_complex, scan_levels
 
 ENGINES = ("auto", "brute", "scan", "both")
@@ -46,12 +45,6 @@ class LeeChain:
     choice: tuple  # the oriented resolution of the reoriented diagram
     circle_signs: tuple  # Lee sign per circle, in resolution order
     circles: tuple  # the arc ids of each circle, in resolution order
-
-    def q_level(self) -> int:
-        """Minimum generator q-degree over the terms: every term is nonzero,
-        and the all-x one has the least degree."""
-        d = self.diagram
-        return sum(self.choice) + d.n_plus - 2 * d.n_minus - len(self.circle_signs)
 
     def conjugate(self) -> "LeeChain":
         """The chain of the globally reversed orientation (all signs flip)."""
@@ -134,24 +127,6 @@ def _level_solver(gen_q, gens_h0, columns):
         return gen_q[order[min(residual)]]
 
     return level
-
-
-def filtration_level(filtered: FilteredComplex, zvec: dict, h: int = 0) -> int:
-    """max over z' ~ z of (min generator q-degree in z'), at degree h."""
-    boundary = {}
-    for g, c in zvec.items():
-        for tgt, v in filtered.out.get(g, {}).items():
-            boundary[tgt] = boundary.get(tgt, Fraction(0)) + c * v
-    if any(boundary.values()):
-        raise NotACycle("the chain has nonzero differential at t=1")
-    gens_h = filtered.gens_at(h)
-    cols = []
-    for src in filtered.gens_at(h - 1):
-        col = {tgt: c for tgt, c in filtered.out.get(src, {}).items()}
-        if col:
-            cols.append(col)
-    solver = _level_solver(filtered.gen_q, gens_h, cols)
-    return solver(zvec)
 
 
 def lee_vector_in_cube(chain: LeeChain, cube: CubeComplex) -> dict:
@@ -316,15 +291,3 @@ def s_all_orientations(d: OrientedDiagram, engine: str = "auto", limit=None):
         reports.append(s_invariant(d, o, engine=engine, limit=limit,
                                    with_module=False))
     return reports
-
-
-def s_from_module(summary: HomologySummary, ell: int):
-    """Cross-check: for knots the two free generators sit at q = s -+ 1."""
-    if ell != 1:
-        return None
-    if summary.free_rank() != 2:
-        raise InconsistentModule(f"free rank {summary.free_rank()} != 2 for a knot")
-    (h1, q1), (h2, q2) = summary.free
-    if h1 != 0 or h2 != 0 or abs(q1 - q2) != 2:
-        raise InconsistentModule(f"free part {summary.free} has the wrong shape")
-    return (q1 + q2) // 2

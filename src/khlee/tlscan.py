@@ -13,20 +13,24 @@ a dotted cap over a plain cup plus a plain cap over a dotted cup
 cobordisms", G&T 9, 2005, section 11.2).  So Hom(A, B) is free on disc
 patterns, one disc per boundary curve of A-bar B, dotted or not, as in
 Khovanov's arc algebra (M. Khovanov, "A functor-valued invariant of
-tangles", AGT 2, 2002).  A morphism is a dict {dot bitmask: Qt}; its bits
-number the curves of A-bar B: A's circles, then B's, then the cycles
-through the boundary points by least point.  The identity of a circle-free
-object is mask 0, and so is a saddle.
+tangles", AGT 2, 2002).  A morphism is a dict {dot bitmask: coefficient};
+its bits number the curves of A-bar B: A's circles, then B's, then the
+cycles through the boundary points by least point.  The identity of a
+circle-free object is mask 0, and so is a saddle.  Every map of the complex
+is q-homogeneous, and a disc pattern has degree #curves - n - 2 #dots, so
+the degrees fix each mask's power of t (of degree -4): a morphism keeps
+only the coefficient, and the closure writes the power into each entry.
 
 Gluing the discs of two morphisms gives a surface whose shape depends only
 on the objects.  ``compose``, ``stack`` and ``close_morphism`` build it once
 per object triple as a ``_Plan``: its connected pieces, the discs of each
 factor in each piece, the piece's result curves and its genus.  A term pair
-then reads its result off the plan with popcounts.  A piece with g handles
-gives 2^g and g more dots; d dots give t^(d // 2) and leave e = d mod 2.  A
-closed piece is 0 for e = 0 and 1 for e = 1.  A piece with r result curves
-neck-cuts to Delta^(r-1)(x^e) in the basis {1, x}: the sum, over the disc
-patterns with u undotted discs and u = 1 - e mod 2, of t^(u // 2).
+then reads its result masks off the plan with popcounts.  A piece with g
+handles gives 2^g and g more dots; d dots give t^(d // 2) and leave
+e = d mod 2.  A closed piece is 0 for e = 0 and 1 for e = 1.  A piece with
+r result curves neck-cuts to Delta^(r-1)(x^e) in the basis {1, x}: the sum,
+over the disc patterns with u undotted discs and u = 1 - e mod 2, of
+t^(u // 2).
 
 On the circles of the trace closure a disc pattern is a cap on each source
 circle and a cup on each target circle.  A plain cap is the counit, taking
@@ -42,7 +46,9 @@ the Seifert circles, eps the circle's Lee sign, so a column caps each
 circle the moment a letter closes it, a plain cap weighing 1 and a dotted
 cap eps, and its source never holds a circle; the closure caps the last
 circles the same way.  Each piece of the source takes eps from the slots
-of the braid diagram it covers.  All maps the columns pass through are
+of the braid diagram it covers.  The levels read the columns at t = 1
+only, and setting t := 1 is a ring map, so the columns hold their values
+there from the first letter on.  All maps the columns pass through are
 q-homogeneous, so at t=1 the tracked image keeps the filtration level of
 the class.
 """
@@ -50,23 +56,20 @@ the class.
 from __future__ import annotations
 
 import heapq
+import operator
 
-from . import qt
 from .complexes import GradedComplex
 from .diagrams import OrientedDiagram
 from .errors import KhleeError, ResourceLimit
 from .reduction import _exact, _quotient, scan_reduce
 
-# Morphism coefficients are Q[t] dicts like ``qt``'s, but kept as Python ints
-# wherever they are integral; only ``_eliminate`` can divide by a non-unit.
-# ``GradedComplex.add_entry`` hands out Fractions again.  The tracked columns
-# stay Q[t] morphisms while they compose with the complex's; only the closure
-# evaluates them at t = 1, and ``scan_reduce`` hands those values out as
-# Fractions.
-_ONE = {0: 1}
+# Morphism coefficients are Python ints wherever they are integral; only
+# ``_eliminate`` can divide by a non-unit.  ``GradedComplex.add_entry`` hands
+# out Fractions again, and ``scan_reduce`` does the same for the tracked
+# columns' values at t = 1.
 # Undotted discs on every curve: the identity of a circle-free object, a
 # saddle, and the second factor of a closure, which glues one morphism alone.
-_PLAIN = {0: _ONE}
+_PLAIN = {0: 1}
 
 # ---------------------------------------------------------------------------
 # gluing plans
@@ -115,12 +118,12 @@ def _cycles(m1, m2):
 
 
 def _fan(bits, e):
-    """Delta^(r-1)(x^e) on the curves ``bits``: (dotted mask, t exponent) of
-    each disc pattern with u undotted discs, u = 1 - e mod 2, at t^(u // 2)."""
+    """Delta^(r-1)(x^e) on the curves ``bits``: the dotted mask of each disc
+    pattern with u undotted discs, u = 1 - e mod 2."""
     patterns = [(0, 0)]  # (dotted mask, undotted count)
     for b in bits:
         patterns = [(m | 1 << b, u) for m, u in patterns] + [(m, u + 1) for m, u in patterns]
-    return tuple((m, u // 2) for m, u in patterns if (u + e) % 2)
+    return tuple(m for m, u in patterns if (u + e) % 2)
 
 
 class _Plan:
@@ -181,26 +184,20 @@ class _Plan:
         self.scale = 1 << handles
 
     def glue(self, key):
-        """The term pair ``key`` glued: [(result mask, t exponent)], each
-        with the coefficient ``scale``."""
-        texp = 0
+        """The result masks of the term pair ``key`` glued, each with the
+        coefficient ``scale``."""
         for mask, g in self.closed:
-            d = (key & mask).bit_count() + g
-            if not d & 1:
+            if not ((key & mask).bit_count() + g) & 1:
                 return ()
-            texp += d >> 1
         rmask = 0
         for mask, g, bit in self.single:
-            d = (key & mask).bit_count() + g
-            texp += d >> 1
-            if d & 1:
+            if ((key & mask).bit_count() + g) & 1:
                 rmask |= bit
-        terms = [(rmask, texp)]
+        masks = [rmask]
         for mask, g, bits in self.fans:
-            d = (key & mask).bit_count() + g
-            half = d >> 1
-            terms = [(m | fm, e + fe + half) for m, e in terms for fm, fe in _fan(bits, d & 1)]
-        return terms
+            fan = _fan(bits, ((key & mask).bit_count() + g) & 1)
+            masks = [m | fm for m in masks for fm in fan]
+        return masks
 
 
 def _bilinear(plan, fmorph, gmorph):
@@ -209,27 +206,20 @@ def _bilinear(plan, fmorph, gmorph):
     shift, scale = plan.shift, plan.scale
     for fm, cf in fmorph.items():
         for gm, cg in gmorph.items():
-            for rm, texp in plan.glue(fm | gm << shift):
-                acc = out.get(rm)
-                if acc is None:
-                    acc = out[rm] = {}
-                for e1, c1 in cf.items():
-                    for e2, c2 in cg.items():
-                        e = e1 + e2 + texp
-                        s = acc.get(e, 0) + c1 * c2 * scale
-                        if s:
-                            acc[e] = s
-                        else:
-                            del acc[e]
-                if not acc:
+            c = cf * cg * scale
+            for rm in plan.glue(fm | gm << shift):
+                s = out.get(rm, 0) + c
+                if s:
+                    out[rm] = s
+                else:
                     del out[rm]
     return out
 
 
-def _accumulate(acc, key, value, add=qt.add):
-    """acc[key] += value, a Qt (or a morphism, with add=_add_morphism),
+def _accumulate(acc, key, value, add=operator.add):
+    """acc[key] += value, a number (or a morphism, with add=_add_morphism),
     dropping the key when the sum is zero."""
-    s = add(acc.get(key, {}), value)
+    s = add(acc[key], value) if key in acc else value
     if s:
         acc[key] = s
     else:
@@ -238,21 +228,21 @@ def _accumulate(acc, key, value, add=qt.add):
 
 def _add_morphism(a, b):
     out = dict(a)
-    for basis, c in b.items():
-        _accumulate(out, basis, c)
+    for mask, c in b.items():
+        _accumulate(out, mask, c)
     return out
 
 
 def _scale_morphism(m, c):
     """m times a nonzero scalar c, with integral coefficients kept as ints."""
-    return {basis: {e: _exact(v * c) for e, v in p.items()} for basis, p in m.items()}
+    return {mask: _exact(v * c) for mask, v in m.items()}
 
 
 def identity_morphism(obj):
     """A strip per arc, and per circle the neck-cut cylinder: a dotted cap
     with a plain cup plus a plain cap with a dotted cup."""
     nc = obj[1]
-    return {sum(1 << (i + (nc if up >> i & 1 else 0)) for i in range(nc)): _ONE
+    return {sum(1 << (i + (nc if up >> i & 1 else 0)) for i in range(nc)): 1
             for up in range(1 << nc)}
 
 
@@ -407,11 +397,12 @@ def _close_plan(A, B):
 
 def _closed_entries(closed, k):
     """The matrix of a closed morphism with k source circles: one (source
-    labels, target labels, Qt) per disc pattern, with bit j set for label x.
+    labels, target labels, coefficient) per disc pattern, with bit j set for
+    label x.
     A plain cap takes x to 1, a dotted cap takes 1 to 1 (and both kill the
     other label), and a cup's dot is its target label."""
     full = (1 << k) - 1
-    return [(full ^ (rm & full), rm >> k, poly) for rm, poly in closed.items()]
+    return [(full ^ (rm & full), rm >> k, c) for rm, c in closed.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -469,10 +460,10 @@ class ScanComplex:
 class TrackedColumn:
     """The tracked Lee columns: ``maps`` holds, for s_o and then s_obar
     (none when no chain is tracked), a dict from object uids to morphisms
-    out of ``source``, the oriented-resolution tangle of the scanned prefix
-    with each closed Seifert circle capped.  ``slot_sign`` is the Lee sign
-    at each slot (row, column) of the braid diagram, ``signs`` the sign at
-    each boundary point of the source."""
+    out of ``source`` at t = 1, the source being the oriented-resolution
+    tangle of the scanned prefix with each closed Seifert circle capped.
+    ``slot_sign`` is the Lee sign at each slot (row, column) of the braid
+    diagram, ``signs`` the sign at each boundary point of the source."""
 
     def __init__(self, n: int, slot_sign=None):
         self.n = n
@@ -522,27 +513,24 @@ def _cap_source(m, eps):
     j: a plain cap weighs 1 and a dotted cap eps_j."""
     k = len(eps)
     out = {}
-    for mask, poly in m.items():
-        c = 1
+    for mask, c in m.items():
         for j, e in enumerate(eps):
             if mask >> j & 1:
                 c *= e
-        _accumulate(out, mask >> k, poly if c == 1 else {t: v * c for t, v in poly.items()})
+        _accumulate(out, mask >> k, c)
     return out
 
 
 def _is_unit_entry(cx: ScanComplex, src, tgt):
     """Entry equal to lambda * identity with lambda a nonzero rational.
 
-    Objects are circle-free here, so the identity is the one term of mask 0.
+    Objects are circle-free here, so the identity is the one term of mask 0,
+    and equal q forces its power of t to be 0.
     """
     if cx.obj[src] != cx.obj[tgt] or cx.q[src] != cx.q[tgt]:
         return None
     m = cx.out[src][tgt]
-    c = m.get(0) if len(m) == 1 else None
-    if c is None or len(c) != 1 or 0 not in c:
-        return None
-    return c[0]
+    return m.get(0) if len(m) == 1 else None
 
 
 def _eliminate(cx: ScanComplex, tracked: TrackedColumn):
@@ -770,9 +758,12 @@ def _tensor_letter(cx: ScanComplex, tracked: TrackedColumn, letter_objects, sadd
 def _close_and_reduce(cx: ScanComplex, tracked: TrackedColumn):
     """Trace closure and full delooping: an object with k circles (its own
     and those of the closure) gives 2^k generators, one per labelling of
-    the circles by 1 and x."""
+    the circles by 1 and x.  Each entry takes the power of t that the q
+    of its ends fixes; ``add_entry`` refuses a q gap that is negative or
+    not a multiple of 4."""
     n = cx.n
     gc = GradedComplex()
+    gen_q = gc.gen_q
     width = {}
     gen_of = {}
     for uid in sorted(cx.obj):
@@ -783,10 +774,9 @@ def _close_and_reduce(cx: ScanComplex, tracked: TrackedColumn):
     for src in sorted(cx.obj):
         for tgt, fm in cx.out[src].items():
             closed = close_morphism(fm, cx.obj[src], cx.obj[tgt])
-            for ms, mt, poly in _closed_entries(closed, width[src]):
+            for ms, mt, c in _closed_entries(closed, width[src]):
                 gs, gt = gen_of[(src, ms)], gen_of[(tgt, mt)]
-                for e, c in poly.items():
-                    gc.add_entry(gs, gt, c, e)
+                gc.add_entry(gs, gt, c, (gen_q[gt] - gen_q[gs]) // 4)
 
     src_maps = [{uid: close_morphism(fm, tracked.source, cx.obj[uid]) for uid, fm in maps.items()}
                 for maps in tracked.maps]
@@ -808,19 +798,14 @@ class _ScanClosure:
         """Vectors for s_o and s_obar over the closed complex generators, as
         their values at t = 1: the closed maps with eps*1 + x capped on each
         closure circle of the source, eps its sign for s_o and minus its sign
-        for s_obar, each entry the sum of its coefficients."""
+        for s_obar."""
         vectors = []
         for maps, flip in zip(self.src_maps, (1, -1)):
             eps = [flip * e for e in self.closure_signs]
             vec = {}
             for uid, closed in maps.items():
-                for mt, poly in _cap_source(closed, eps).items():
-                    g = self.gen_of[(uid, mt)]
-                    c = vec.get(g, 0) + sum(poly.values())
-                    if c:
-                        vec[g] = c
-                    else:
-                        vec.pop(g, None)
+                for mt, c in _cap_source(closed, eps).items():
+                    _accumulate(vec, self.gen_of[(uid, mt)], c)
             vectors.append(vec)
         return tuple(vectors)
 

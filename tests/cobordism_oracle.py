@@ -18,7 +18,7 @@ point p; ``curve_ids`` lists them in the order of the scanner's bits.
 
 import functools
 
-from khlee import qt
+import qt
 from khlee.tlscan import close_object, vcomp
 
 

@@ -1,10 +1,10 @@
-"""Sparse exact arithmetic in Q[t].
+"""Sparse exact arithmetic in Q[t], for the test oracles.
 
-Elements are stored as {exponent: Fraction} with no zero values.  Homogeneity
-of the chain complexes keeps every differential entry a single monomial
-c*t^k, stored as a (coeff, exponent) pair; this generic representation is
-for the Frobenius algebra's tables and the tangle scanner's morphism
-coefficients.
+Elements are stored as {exponent: Fraction} with no zero values.  The
+package needs none of it: homogeneity keeps every differential entry a
+single monomial c*t^k, and fixes the power of t of each term of a scanner
+morphism.  The symbolic Frobenius axioms and the partition-basis cobordism
+oracle compute with whole polynomials.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 Qt = dict  # {int exponent: Fraction coefficient}, zero coefficients absent
-
-ZERO: Qt = {}
 
 
 def mono(coeff, exp: int = 0) -> Qt:

@@ -1,6 +1,7 @@
 """Homology dimensions from ranks over the full complex: the oracle for the
 dimensions that ``GradedComplex`` and ``HomologySummary`` read off the
-elimination kernel's output.
+elimination kernel's output; and the filtration level of a cycle solved on
+the unreduced complex, the oracle for the levels of the tracked reduction.
 
 The ranks come from ``khlee.linalg.rank_of_columns`` (an echelon form over
 Q), which shares no code with ``khlee.reduction.scan_reduce``.
@@ -8,6 +9,8 @@ Q), which shares no code with ``khlee.reduction.scan_reduce``.
 
 from fractions import Fraction
 
+from khlee.errors import NotACycle
+from khlee.lee import _level_solver
 from khlee.linalg import rank_of_columns
 
 
@@ -58,3 +61,22 @@ def dims_t_by_rank(cx, value) -> dict:
         if d:
             dims[h] = d
     return dims
+
+
+def filtration_level(filtered, zvec: dict, h: int = 0) -> int:
+    """max over z' ~ z of (min generator q-degree in z'), at degree h, on a
+    ``FilteredComplex``."""
+    boundary = {}
+    for g, c in zvec.items():
+        for tgt, v in filtered.out.get(g, {}).items():
+            boundary[tgt] = boundary.get(tgt, Fraction(0)) + c * v
+    if any(boundary.values()):
+        raise NotACycle("the chain has nonzero differential at t=1")
+    gens_h = filtered.gens_at(h)
+    cols = []
+    for src in filtered.gens_at(h - 1):
+        col = {tgt: c for tgt, c in filtered.out.get(src, {}).items()}
+        if col:
+            cols.append(col)
+    solver = _level_solver(filtered.gen_q, gens_h, cols)
+    return solver(zvec)

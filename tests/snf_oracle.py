@@ -41,7 +41,8 @@ def module_by_snf(cx):
     """(free, torsion) of ``cx`` as ``homology_qt`` reports them, from a Smith
     form of the whole complex: free is a sorted list of (h, q), torsion a
     sorted list of (h, q, k) for the summands Q[t]/(t^k)."""
-    hmin, hmax = cx.h_range()
+    hs = cx.gen_h.values()
+    hmin, hmax = (min(hs), max(hs)) if hs else (0, -1)
     mats = {}
     for h in range(hmin, hmax + 1):
         m = _SparseMat()

@@ -175,6 +175,14 @@ def test_orientation_with_all_orientations_is_a_parse_error(capsys):
                                "--orientation and --all-orientations exclude each other"}
 
 
+@pytest.mark.parametrize("command", [("s", "--builtin", "unknot"), ("verify", "--quick")])
+def test_json_with_table_is_a_parse_error(capsys, command):
+    code, out, err = run(capsys, *command, "--json", "--table", "--no-meta")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "ParseError",
+                               "message": "--json and --table exclude each other"}
+
+
 def test_table_output(capsys):
     code, out, _ = run(capsys, "s", "--builtin", "unknot", "--table", "--no-meta")
     assert code == 0

@@ -1,6 +1,10 @@
 """The scanner's disc-basis morphism algebra against the partition-basis
 oracle: every crossingless matching on 2 and 3 strands, with 0 or 1
-circles, and every dot mask of each factor."""
+circles, and every dot mask of each factor.
+
+The oracle computes over Q[t]; the scanner keeps one number per dot mask.
+Each oracle result is checked to have exactly one power of t per mask, the
+one the degrees fix, before the two are compared."""
 
 import itertools
 import random
@@ -11,7 +15,7 @@ import cobordism_oracle as oracle
 from khlee.tlscan import (_PLAIN, _cap_circles, _closed_entries, _vertical_match, close_morphism,
                           close_object, compose, identity_morphism, stack, stacked_objects)
 
-ONE = {0: 1}
+ONE = {0: 1}  # the oracle's Q[t] unit
 
 
 def _matchings(n):
@@ -49,6 +53,25 @@ def _disc_term(mask, A, B):
     return oracle.from_discs({mask: ONE}, oracle.curve_ids(A, B))
 
 
+def _degree(mask, ids, n):
+    """The q-degree of the disc pattern ``mask`` over the curves ``ids`` of a
+    morphism between (n, n)-tangles: #curves - n - 2 #dots."""
+    return len(ids) - n - 2 * mask.bit_count()
+
+
+def _one_power(morphism, degree_of, degree):
+    """The oracle's {mask: Qt} as the scanner's {mask: number}, checking that
+    each mask has exactly one power t^e, the one that makes the term's
+    degree ``degree``: t has degree -4, so 4e = degree_of(mask) - degree."""
+    out = {}
+    for mask, poly in morphism.items():
+        assert len(poly) == 1, (mask, poly)
+        (e, c), = poly.items()
+        assert 4 * e == degree_of(mask) - degree, (mask, poly, degree)
+        out[mask] = c
+    return out
+
+
 def _mask_pairs(f_masks, g_masks, rng):
     """Every pair of dot masks of the two factors up to 64 pairs; past that,
     every mask of each factor against a seeded random mask of the other."""
@@ -70,7 +93,10 @@ def test_compose_matches_the_oracle(n):
         for fm, gm in _mask_pairs(_masks(A, B), _masks(B, C), rng):
             expect = oracle.neck_cut(oracle.compose(_disc_term(fm, A, B), A, B,
                                                     _disc_term(gm, B, C), C), ids)
-            assert compose({fm: ONE}, A, B, {gm: ONE}, C) == expect, (A, B, C, fm, gm)
+            degree = (_degree(fm, oracle.curve_ids(A, B), n)
+                      + _degree(gm, oracle.curve_ids(B, C), n))
+            expect = _one_power(expect, lambda m: _degree(m, ids, n), degree)
+            assert compose({fm: 1}, A, B, {gm: 1}, C) == expect, (A, B, C, fm, gm)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -88,7 +114,10 @@ def test_stack_matches_the_oracle(n):
                 for fm, gm in _mask_pairs(_masks(A, B), _masks(C, D), rng):
                     expect = oracle.neck_cut(oracle.stack(_disc_term(fm, A, B), A, B,
                                                           _disc_term(gm, C, D), C, D, n), ids)
-                    assert stack({fm: ONE}, A, B, {gm: ONE}, C, D) == expect, \
+                    degree = (_degree(fm, oracle.curve_ids(A, B), n)
+                              + _degree(gm, oracle.curve_ids(C, D), n))
+                    expect = _one_power(expect, lambda m: _degree(m, ids, n), degree)
+                    assert stack({fm: 1}, A, B, {gm: 1}, C, D) == expect, \
                         (A, B, C, D, fm, gm)
     # the scanner skips stacking under the vertical tangle's identity: A.V
     # is A, and every disc term comes back unchanged
@@ -96,28 +125,34 @@ def test_stack_matches_the_oracle(n):
     for A, B in pairs:
         assert stacked_objects(A, V)[0] == A
         for fm in _masks(A, B):
-            assert stack({fm: ONE}, A, B, _PLAIN, V, V) == {fm: ONE}, (A, B, fm)
+            assert stack({fm: 1}, A, B, _PLAIN, V, V) == {fm: 1}, (A, B, fm)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_closure_matches_the_oracle(n):
     # the closed disc patterns, and the matrix they give through the cap and
-    # cup rule against the Frobenius algebra evaluation
+    # cup rule against the Frobenius algebra evaluation; an entry from source
+    # labels ms to target labels mt has degree q(mt) - q(ms), with q(m) the
+    # number of circles less twice the x labels
     for A, B in itertools.product(_objects(n), repeat=2):
         ka = A[1] + len(close_object(A, n))
         kb = B[1] + len(close_object(B, n))
         ids = [("s", i) for i in range(ka)] + [("t", j) for j in range(kb)]
         for fm in _masks(A, B):
+            degree = _degree(fm, oracle.curve_ids(A, B), n)
             closed = oracle.close_morphism(_disc_term(fm, A, B), A, B, n)
-            got = close_morphism({fm: ONE}, A, B)
-            assert got == oracle.neck_cut(closed, ids), (A, B, fm)
+            got = close_morphism({fm: 1}, A, B)
+            expect = _one_power(oracle.neck_cut(closed, ids), lambda m: _degree(m, ids, 0), degree)
+            assert got == expect, (A, B, fm)
             matrix = {}
-            for ms, mt, poly in _closed_entries(got, ka):
+            for ms, mt, c in _closed_entries(got, ka):
                 assert (ms, mt) not in matrix
-                matrix[(ms, mt)] = poly
+                matrix[(ms, mt)] = c
             for ms in range(1 << ka):
                 image = oracle.apply_closed(closed, [ms >> j & 1 for j in range(ka)])
-                assert image == {mt: p for (s, mt), p in matrix.items() if s == ms}, (A, B, fm, ms)
+                q_ms = ka - 2 * ms.bit_count()
+                image = _one_power(image, lambda mt: kb - 2 * mt.bit_count() - q_ms, degree)
+                assert image == {mt: c for (s, mt), c in matrix.items() if s == ms}, (A, B, fm, ms)
 
 
 def test_identities_and_delooping():
@@ -126,16 +161,16 @@ def test_identities_and_delooping():
     objects = _objects(2) + [(m, 2) for m in _matchings(2)]
     for obj, other in itertools.product(objects, repeat=2):
         for fm in _masks(other, obj):
-            f = {fm: ONE}
+            f = {fm: 1}
             assert compose(identity_morphism(other), other, other, f, obj) == f
             assert compose(f, other, obj, identity_morphism(obj), obj) == f
         k = obj[1]
         outer, full = (obj[0], 0), (1 << k) - 1
         for up in range(1 << k):  # dotted caps, or undotted cups
             for fm in _masks(other, obj):
-                assert (_cap_circles({fm: ONE}, other[1], k, full ^ up)
-                        == compose({fm: ONE}, other, obj, {up: ONE}, outer))
+                assert (_cap_circles({fm: 1}, other[1], k, full ^ up)
+                        == compose({fm: 1}, other, obj, {up: 1}, outer))
             for gm in _masks(obj, other):
-                assert (_cap_circles({gm: ONE}, 0, k, up)
-                        == compose({full ^ up: ONE}, outer, obj, {gm: ONE}, other))
+                assert (_cap_circles({gm: 1}, 0, k, up)
+                        == compose({full ^ up: 1}, outer, obj, {gm: 1}, other))
 

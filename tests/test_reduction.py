@@ -51,7 +51,8 @@ def test_no_unit_entries_left_and_equivalence():
 def _raw_window_levels(d, chain):
     """The levels of (s_o, s_obar, s_o + s_obar, s_o - s_obar), solved on the
     unreduced (-1, 0) window of the cube."""
-    from khlee.lee import filtration_level, lee_vector_in_cube
+    from khlee.lee import lee_vector_in_cube
+    from rank_oracle import filtration_level
 
     window = build_cube(d, h_window=(-1, 0))
     filt = specialize_t(window.complex, 1)
@@ -182,6 +183,11 @@ def test_inhomogeneous_entry_raises():
     _plain(cx, a, b, 1, 0)  # raises h by two
     with pytest.raises(KhleeError, match="inhomogeneous"):
         scan_reduce(cx)
+    # add_entry refuses a negative power of t, even one that q would fit
+    cx = GradedComplex()
+    a, b = cx.add_gen(0, 4), cx.add_gen(1, 0)
+    with pytest.raises(KhleeError, match="negative power"):
+        cx.add_entry(a, b, 1, -1)
 
 
 def test_non_dividing_pivot_stays_exact():

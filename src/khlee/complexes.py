@@ -18,7 +18,6 @@ class GradedComplex:
         self.gen_h = {}  # gen id -> h
         self.gen_q = {}  # gen id -> q
         self.out = {}  # src -> {tgt: (coeff, texp)}
-        self.inc = {}  # tgt -> {src: (coeff, texp)}
         self._next = 0
         self.pos = None  # gen id -> resolution bitmask, on a cube (build_cube)
 
@@ -33,7 +32,6 @@ class GradedComplex:
         self.gen_h[gid] = h
         self.gen_q[gid] = q
         self.out[gid] = {}
-        self.inc[gid] = {}
         return gid
 
     def add_entry(self, src: int, tgt: int, coeff, texp: int) -> None:
@@ -45,7 +43,6 @@ class GradedComplex:
             c = c + old[0]
         if c == 0:
             self.out[src].pop(tgt, None)
-            self.inc[tgt].pop(src, None)
             return
         if self.gen_h[tgt] != self.gen_h[src] + 1:
             raise KhleeError("differential must raise h by one")
@@ -56,7 +53,6 @@ class GradedComplex:
                 f"inhomogeneous entry {src}->{tgt}: q {self.gen_q[src]} -> "
                 f"{self.gen_q[tgt]} with t^{texp}")
         self.out[src][tgt] = (c, texp)
-        self.inc[tgt][src] = (c, texp)
 
     # -- views ------------------------------------------------------------------
 
@@ -100,7 +96,7 @@ class GradedComplex:
             by_q.setdefault(q, []).append(g)
         dims = {}
         for q, gens in by_q.items():
-            t0 = GradedComplex()  # scan_reduce reads no incoming entries
+            t0 = GradedComplex()
             t0.gen_h = {g: self.gen_h[g] for g in gens}
             t0.gen_q = dict.fromkeys(gens, q)
             t0.out = {g: {t: ce for t, ce in self.out[g].items() if ce[1] == 0} for g in gens}

@@ -6,8 +6,8 @@ import random
 import re
 
 from .diagrams import BraidWord, OrientedDiagram, from_braid
-from .errors import OrientationConflict, ParseError
-from .ssr import SsrDiagram, _full_twist_letters, torus_word
+from .errors import ParseError
+from .ssr import SsrDiagram, _full_twist_letters, insert_twists, torus_word
 
 
 def braid_unknot() -> BraidWord:
@@ -39,17 +39,14 @@ def builtin_diagram(name: str) -> OrientedDiagram:
     m = re.fullmatch(r"F_?(\d+)\((-?\d+)\)", key)
     if m:
         p, k = int(m.group(1)), int(m.group(2))
-        from .ssr import insert_twists
         return insert_twists(builtin_ssr(f"F_{p}"), (k,))
     m = re.fullmatch(r"F_?(\d+),(\d+)\((-?\d+)\)", key)
     if m:
         p, q, k = (int(m.group(i)) for i in (1, 2, 3))
-        from .ssr import insert_twists
         return insert_twists(builtin_ssr(f"F_{p},{q}"), (k,))
     m = re.fullmatch(r"C_?\((\d+),(-?\d+)\)\((-?\d+)\)", key)
     if m:
         p, q, k = (int(m.group(i)) for i in (1, 2, 3))
-        from .ssr import insert_twists
         return insert_twists(builtin_ssr(f"C_({p},{q})"), (k,))
     m = re.fullmatch(r"Wh\+\((.+),(-?\d+)\)", key)
     if m:
@@ -160,10 +157,7 @@ def random_pure_braid_word(rng: random.Random, strands: int, blocks: int) -> Bra
 def random_oriented_pure_diagram(rng: random.Random, strands=3, blocks=2) -> OrientedDiagram:
     w = random_pure_braid_word(rng, strands, blocks)
     flags = tuple(rng.choice([True, False]) for _ in range(strands))
-    try:
-        return from_braid(BraidWord(w.strands, w.letters, flags))
-    except OrientationConflict:  # pure words never conflict, but stay safe
-        return from_braid(w)
+    return from_braid(BraidWord(w.strands, w.letters, flags))
 
 
 def small_corpus():
@@ -217,7 +211,6 @@ def small_corpus():
 
 
 def builtin_wh_approx(k: int) -> OrientedDiagram:
-    from .ssr import insert_twists
     return insert_twists(builtin_ssr("Wh+"), (k,))
 
 

@@ -66,8 +66,8 @@ def build_cube(d: OrientedDiagram, limit=None, h_window=None) -> CubeComplex:
     Resolution r (bit i: crossing i) has generators ``first[r] + label_mask``
     in order of r, and ``complex.pos`` maps them to r for the cube-order
     pivots of ``reduction.scan_reduce``.  One loop writes every saddle into
-    ``out``/``inc`` from a placement table made once per (sign, circles in,
-    circles out, circle count); ``reduction.entry_tables`` checks h and q.
+    ``out`` from a placement table made once per (sign, circles in, circles
+    out, circle count); ``reduction.entry_tables`` checks h and q.
     """
     limit = generator_limit(limit)
     n, n_minus = d.n_crossings, d.n_minus
@@ -93,7 +93,7 @@ def build_cube(d: OrientedDiagram, limit=None, h_window=None) -> CubeComplex:
         for mask in range(1 << k[r]):
             cx.pos[cx.add_gen(h, q - 2 * mask.bit_count())] = r
 
-    out, inc = cx.out, cx.inc
+    out = cx.out
     tables = {}
     for r in rs:
         for i, cross in enumerate(d.crossings):
@@ -125,7 +125,7 @@ def build_cube(d: OrientedDiagram, limit=None, h_window=None) -> CubeComplex:
             f2 = first[r2]
             for src, terms in enumerate(tables[key], first[r]):
                 for entry, tmask in terms:
-                    out[src][f2 + tmask] = inc[f2 + tmask][src] = entry
+                    out[src][f2 + tmask] = entry
 
     return CubeComplex(d, cx, first)
 

@@ -7,12 +7,6 @@ x*x = t.
 
 from __future__ import annotations
 
-LABEL_ONE = 0
-LABEL_X = 1
-
-Q_OF_LABEL = {LABEL_ONE: 1, LABEL_X: -1}
-Q_OF_T = -4
-
 
 class FrobeniusData:
     """Structure constants; every map is q-homogeneous of degree -1 per
@@ -30,9 +24,4 @@ class FrobeniusData:
         0: ((1, 0, (0, 1)), (1, 0, (1, 0))),
         1: ((1, 0, (1, 1)), (1, 1, (0, 0))),  # delta(x) = x(x)x + t 1(x)1
     }
-    unit = ((1, 0, 0),)
     counit = {0: 0, 1: 1}
-
-    @staticmethod
-    def label_q(label: int) -> int:
-        return Q_OF_LABEL[label]

@@ -45,12 +45,17 @@ the current objects.  A Lee cycle is the tensor product of eps*1 + x over
 the Seifert circles, eps the circle's Lee sign, so a column caps each
 circle the moment a letter closes it, a plain cap weighing 1 and a dotted
 cap eps, and its source never holds a circle; the closure caps the last
-circles the same way.  Each piece of the source takes eps from the slots
-of the braid diagram it covers.  The levels read the columns at t = 1
-only, and setting t := 1 is a ring map, so the columns hold their values
-there from the first letter on.  All maps the columns pass through are
-q-homogeneous, so at t=1 the tracked image keeps the filtration level of
-the class.
+circles the same way.  The signs are read off the slots (row, column) of
+the braid diagram: a circle a letter closes takes the sign at its least
+middle column, and a source boundary point that of its slot.  Each letter
+checks that both ends of every piece of its oriented resolution share a
+sign, and glued pieces share their middle slot, so every arc and circle of
+the source carries one sign; the closure checks its own circles, which join
+slot (0, c) to the top slot of column c.  The levels read the columns at
+t = 1 only, and setting t := 1 is a ring map, so the columns hold their
+values there from the first letter on.  All maps the columns pass through
+are q-homogeneous, so at t=1 the tracked image keeps the filtration level
+of the class.
 """
 
 from __future__ import annotations
@@ -59,9 +64,11 @@ import heapq
 import operator
 
 from .complexes import GradedComplex
+from .cube import generator_limit
 from .diagrams import OrientedDiagram
 from .errors import KhleeError, ResourceLimit
 from .reduction import _exact, _quotient, scan_reduce
+from .smith import homology_qt
 
 # Morphism coefficients are Python ints wherever they are integral; only
 # ``_eliminate`` can divide by a non-unit.  ``GradedComplex.add_entry`` hands
@@ -302,24 +309,19 @@ def _stack_plan(A, B, C, D):
 def vcomp(mO, mP):
     """Stack tangle P on top of tangle O (matchings of the same 2n points).
 
-    Returns (match, least, arcs, loops): the composite matching, whose
-    points are O's bottom 0..n-1 and P's top n..2n-1; the least middle
-    column of each loop closed in between, in increasing order; and the
-    arcs of O and P that make each composite arc (by either endpoint) and
-    each loop, as (0 for O or 1 for P, point on that arc) pairs.
+    Returns (match, least): the composite matching, whose points are O's
+    bottom 0..n-1 and P's top n..2n-1, and the least middle column of each
+    loop closed in between, in increasing order.
     """
     n = len(mO) // 2
     match = [-1] * (2 * n)
-    arcs = [()] * (2 * n)
     mid = [False] * n  # middle columns passed
     for start in range(2 * n):
         if match[start] >= 0:
             continue
         in_o, p = start < n, start  # up through O from the bottom, or down through P
-        trace = []
         while True:
             q = (mO if in_o else mP)[p]
-            trace.append((0 if in_o else 1, p))
             if in_o and q >= n:  # O's top: on into P at column q - n
                 mid[q - n], in_o, p = True, False, q - n
             elif not in_o and q < n:  # P's bottom: on into O at column q
@@ -327,27 +329,24 @@ def vcomp(mO, mP):
             else:
                 break
         match[start], match[q] = q, start
-        arcs[start] = arcs[q] = tuple(trace)
-    least, loops = [], []
+    least = []
     for c in range(n):
         if not mid[c]:
             least.append(c)
-            trace, d = [], c
+            d = c
             while True:
                 e = mP[d]
                 mid[d] = mid[e] = True
-                trace += [(1, d), (0, n + e)]
                 d = mO[n + e] - n
                 if d == c:
                     break
-            loops.append(tuple(trace))
-    return tuple(match), tuple(least), tuple(arcs), tuple(loops)
+    return tuple(match), tuple(least)
 
 
 def stacked_objects(O, P):
     """P on top of O: the composite object, its circles ordered [O's, P's,
     new], and the least middle column of each new circle."""
-    m, least, _arcs, _loops = _memo(vcomp, O[0], P[0])
+    m, least = _memo(vcomp, O[0], P[0])
     return (m, O[1] + P[1] + len(least)), least
 
 
@@ -355,31 +354,18 @@ def stacked_objects(O, P):
 # trace closure
 
 
-def close_object(obj, n):
-    """Circles of the trace closure, as frozensets of boundary points."""
-    match, _nc = obj
-    seen = set()
-    circles = []
-    for p0 in range(2 * n):
-        if p0 in seen:
-            continue
-        orbit = set()
-        p = p0
-        while p not in orbit:
-            orbit.add(p)
-            q = match[p]
-            orbit.add(q)
-            p = q - n if q >= n else q + n
-        seen |= orbit
-        circles.append(frozenset(orbit))
-    circles.sort(key=min)
-    return circles
+def close_object(obj):
+    """The circles of the trace closure, which joins top point n + c to
+    bottom point c: (least point of each circle, circle of each point),
+    numbered by least point."""
+    match = obj[0]
+    return _memo(_cycles, match, _vertical_match(len(match) // 2))
 
 
 def close_morphism(fm, A, B):
     """The trace-closure functor on morphisms, into the disc basis of the
     closed objects' circles: A's, then B's, each ordered [own circles] +
-    [closure circles by min point] (``close_object``)."""
+    [closure circles by least point] (``close_object``)."""
     return _bilinear(_memo(_close_plan, A, B), fm, _PLAIN)
 
 
@@ -390,8 +376,8 @@ def _close_plan(A, B):
     least, cyc = _memo(_cycles, mA, mB)
     f0 = ncA + ncB
     seams = [(f0 + cyc[c], f0 + cyc[n + c], 1) for c in range(n)]
-    attach = list(range(ncA)) + [f0 + cyc[min(c)] for c in close_object(A, n)]
-    attach += [ncA + j for j in range(ncB)] + [f0 + cyc[min(c)] for c in close_object(B, n)]
+    attach = list(range(ncA)) + [f0 + cyc[p] for p in close_object(A)[0]]
+    attach += [ncA + j for j in range(ncB)] + [f0 + cyc[p] for p in close_object(B)[0]]
     return _Plan(f0 + len(least), 0, seams, attach)
 
 
@@ -463,7 +449,8 @@ class TrackedColumn:
     out of ``source`` at t = 1, the source being the oriented-resolution
     tangle of the scanned prefix with each closed Seifert circle capped.
     ``slot_sign`` is the Lee sign at each slot (row, column) of the braid
-    diagram, ``signs`` the sign at each boundary point of the source."""
+    diagram; the source's bottom points sit at row 0 and its top points at
+    row ``rows``."""
 
     def __init__(self, n: int, slot_sign=None):
         self.n = n
@@ -471,29 +458,30 @@ class TrackedColumn:
         self.maps = () if slot_sign is None else ({}, {})
         self.rows = 0
         self.slot_sign = slot_sign
-        if self.maps:
-            self.signs = [slot_sign[(0, p % n + 1)] for p in range(2 * n)]
+
+    def boundary_signs(self, bottom):
+        """The sign at each of the 2n points of a strip of the diagram from
+        row ``bottom`` up to row ``rows``."""
+        n = self.n
+        return [self.slot_sign[(self.rows if p >= n else bottom, p % n + 1)]
+                for p in range(2 * n)]
 
     def extend(self, lobj):
         """Stack the next letter's oriented resolution lobj on the source
         and cap each circle this closes, in the maps already pushed through
         the letter.  Letter row r has the slots (r - 1, c) at its bottom and
-        (r, c) on top."""
-        n = self.n
+        (r, c) on top; a closed circle takes the sign at its least middle
+        column, on the letter's bottom."""
         self.rows += 1
-        match, _least, arcs, loops = _memo(vcomp, self.source[0], lobj[0])
+        match, least = _memo(vcomp, self.source[0], lobj[0])
         self.source = (match, 0)
         if not self.maps:
             return
-        at = [self.slot_sign[(self.rows - 1 + p // n, p % n + 1)] for p in range(2 * n)]
-        lsigns = [_one_sign({at[p], at[q]}) for p, q in enumerate(lobj[0])]
-
-        def sign(trace):
-            return _one_sign({(lsigns if side else self.signs)[p] for side, p in trace})
-
-        eps = [sign(trace) for trace in loops]
-        self.signs = [sign(trace) for trace in arcs]
-        if eps:
+        at = self.boundary_signs(self.rows - 1)
+        for p, q in enumerate(lobj[0]):
+            _one_sign({at[p], at[q]})
+        if least:
+            eps = [at[c] for c in least]
             for maps, flip in zip(self.maps, (1, -1)):
                 for uid, f in list(maps.items()):
                     del maps[uid]
@@ -501,8 +489,9 @@ class TrackedColumn:
 
 
 def _one_sign(signs):
-    """The Lee sign shared by the pieces of one scan arc or circle, given as
-    the set of their signs."""
+    """The Lee sign shared by the ends of one piece of an oriented
+    resolution, or by the points of one closure circle, given as the set of
+    their signs."""
     if len(signs) != 1:
         raise KhleeError("could not match a scan circle to a Seifert circle")
     return signs.pop()
@@ -638,8 +627,6 @@ def scan_word(d: OrientedDiagram, limit=None, chain=None, h_window=None):
     The filtration level of a degree-hi cycle modulo d(C^{hi-1}) is then that
     of the full scan (README, "Windowed scan"); the homology is not.
     """
-    from .cube import generator_limit
-
     if d.braid is None:
         raise KhleeError("the scan engine needs a braid-built diagram")
     clear_scan_caches()
@@ -710,49 +697,48 @@ def _cut_to_window(cx: ScanComplex, tracked: TrackedColumn, lo, hi):
 
 def _tensor_letter(cx: ScanComplex, tracked: TrackedColumn, letter_objects, saddle, orres):
     """Stack a one-letter complex on top of the current complex; the tracked
-    column follows the letter's oriented resolution, letter_objects[orres]."""
+    column follows the letter's oriented resolution, letter_objects[orres].
+    No entry joins an old object to a new one, so the old rows are read in
+    place and dropped whole at the end."""
     n = cx.n
-    old_objects = dict(cx.obj)
-    old_h, old_q = dict(cx.h), dict(cx.q)
-    old_out = {u: dict(r) for u, r in cx.out.items()}
-
+    old = list(cx.obj)
     new_uid = {}
-    for uid, obj in old_objects.items():
+    for uid in old:
         for ri, (lobj, (dh, dq)) in enumerate(letter_objects):
-            E = stacked_objects(obj, lobj)[0]
-            new_uid[(uid, ri)] = cx.add_object(E, old_h[uid] + dh, old_q[uid] + dq)
+            E = stacked_objects(cx.obj[uid], lobj)[0]
+            new_uid[(uid, ri)] = cx.add_object(E, cx.h[uid] + dh, cx.q[uid] + dq)
 
     # differentials: d(x . l) = d(x) . l + (-1)^{h(x)} x . d(l); stacking the
     # identity of the vertical tangle changes no morphism
     vertical = (_vertical_match(n), 0)
-    for uid, rowm in old_out.items():
-        for tgt, f in rowm.items():
+    for uid in old:
+        for tgt, f in cx.out[uid].items():
             for ri, (lobj, _sh) in enumerate(letter_objects):
                 cx.set_entry(new_uid[(uid, ri)], new_uid[(tgt, ri)],
                              f if lobj == vertical else
-                             stack(f, old_objects[uid], old_objects[tgt], _PLAIN, lobj, lobj))
+                             stack(f, cx.obj[uid], cx.obj[tgt], _PLAIN, lobj, lobj))
     if saddle is not None:
-        for uid, obj in old_objects.items():
+        for uid in old:
+            obj = cx.obj[uid]
             stacked = stack(_PLAIN, obj, obj, saddle, letter_objects[0][0], letter_objects[1][0])
-            if old_h[uid] % 2:
+            if cx.h[uid] % 2:
                 stacked = _scale_morphism(stacked, -1)
             cx.set_entry(new_uid[(uid, 0)], new_uid[(uid, 1)], stacked)
-
-    # retire old objects
-    for uid in old_objects:
-        cx.remove_object(uid)
 
     # push the tracked columns through the tensor, then grow their source
     lobj_or = letter_objects[orres][0]
     for maps in tracked.maps:
-        old_maps = dict(maps)
-        maps.clear()
-        for uid, f in old_maps.items():
+        for uid in list(maps):
+            f = maps.pop(uid)
             if lobj_or != vertical:
-                f = stack(f, tracked.source, old_objects[uid], _PLAIN, lobj_or, lobj_or)
+                f = stack(f, tracked.source, cx.obj[uid], _PLAIN, lobj_or, lobj_or)
             if f:
                 maps[new_uid[(uid, orres)]] = f
     tracked.extend(lobj_or)
+
+    # retire the old objects
+    for uid in old:
+        del cx.obj[uid], cx.h[uid], cx.q[uid], cx.out[uid], cx.inc[uid]
 
 
 def _close_and_reduce(cx: ScanComplex, tracked: TrackedColumn):
@@ -760,14 +746,14 @@ def _close_and_reduce(cx: ScanComplex, tracked: TrackedColumn):
     and those of the closure) gives 2^k generators, one per labelling of
     the circles by 1 and x.  Each entry takes the power of t that the q
     of its ends fixes; ``add_entry`` refuses a q gap that is negative or
-    not a multiple of 4."""
-    n = cx.n
+    not a multiple of 4.  The closure joins slot (0, c) to slot (rows, c),
+    so each closure circle of the tracked source must carry one sign."""
     gc = GradedComplex()
     gen_q = gc.gen_q
     width = {}
     gen_of = {}
     for uid in sorted(cx.obj):
-        k = width[uid] = cx.obj[uid][1] + len(close_object(cx.obj[uid], n))
+        k = width[uid] = cx.obj[uid][1] + len(close_object(cx.obj[uid])[0])
         for mask in range(1 << k):
             gen_of[(uid, mask)] = gc.add_gen(cx.h[uid], cx.q[uid] + k - 2 * mask.bit_count())
 
@@ -780,8 +766,12 @@ def _close_and_reduce(cx: ScanComplex, tracked: TrackedColumn):
 
     src_maps = [{uid: close_morphism(fm, tracked.source, cx.obj[uid]) for uid, fm in maps.items()}
                 for maps in tracked.maps]
-    signs = [_one_sign({tracked.signs[p] for p in circ})
-             for circ in close_object(tracked.source, n)] if src_maps else []
+    signs = []
+    if src_maps:
+        least, cyc = close_object(tracked.source)
+        at = tracked.boundary_signs(0)
+        signs = [_one_sign({e for p, e in enumerate(at) if cyc[p] == i})
+                 for i in range(len(least))]
     return _ScanClosure(gc, gen_of, src_maps, signs)
 
 
@@ -830,7 +820,6 @@ def scan_levels(dd: OrientedDiagram, chain, limit=None, want_module=True):
     levels = _reduced_levels_from_tracked(red, vo, vbar)
     summary = None
     if want_module:
-        from .smith import homology_qt
         summary = homology_qt(red)
     return levels, summary
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 import random
 
 from . import diagrams as dg
-from .corpus import (builtin_ssr, random_braids, random_oriented_pure_diagram,
-                     small_corpus, torus_word)
+from .corpus import (builtin_diagram, builtin_ssr, random_braids,
+                     random_oriented_pure_diagram, small_corpus, torus_word)
 from .diagrams import BraidWord, from_braid
 from .errors import KhleeError
-from .lee import deformed_complex, lee_generator, s_all_orientations, s_invariant
+from .lee import _brute_levels, deformed_complex, lee_generator, s_all_orientations, s_invariant
 from .smith import homology_qt
 from .ssr import (SsrDiagram, approx_threshold, bennequin_report,
                   insert_twists, positivity_formula, s_ssr, stabilization_check)
@@ -83,8 +83,6 @@ def suite_s3(quick: bool = False):
 
     # sign-convention robustness: computing with the conjugate chain as the
     # primary Lee generator must give the same s
-    from .lee import _brute_levels
-
     bad = []
     for name, d in corpus[: 8 if quick else 16]:
         if d.n_crossings > 8 or d.n_components == 0:
@@ -101,8 +99,6 @@ def suite_s3(quick: bool = False):
              ("hopf+", "trefoil-"), ("figure8", "hopf+")]
     if not quick:
         pairs += [("hopf+", "hopf+"), ("trefoil-", "figure8")]
-    from .corpus import builtin_diagram
-
     bad = []
     for n1, n2 in pairs:
         d1, d2 = builtin_diagram(n1), builtin_diagram(n2)

@@ -13,13 +13,14 @@ the Frobenius algebra A = Q[t][x]/(x^2 - t), with no cap or cup rule.
 
 Boundary curves are named ("s", i) for source circles, ("t", j) for target
 circles and ("b", p) for the cycle through the boundary points with least
-point p; ``curve_ids`` lists them in the order of the scanner's bits.
+point p; ``curve_ids`` lists them in the order of the scanner's bits.  The
+oracle walks the closure circles (``closure_circles``) and stacks matchings
+(``stack_matchings``) by itself, with none of the scanner's walks.
 """
 
 import functools
 
 import qt
-from khlee.tlscan import close_object, vcomp
 
 
 @functools.lru_cache(maxsize=None)
@@ -145,10 +146,60 @@ def compose(fm, A, B, gm, C):
     return _bilinear(fm, gm, seams, members)
 
 
+def stack_matchings(mO, mP):
+    """P on top of O, by the connected pieces of the glued arcs: the
+    composite matching of O's bottom 0..n-1 and P's top n..2n-1, and the
+    least middle column of each closed loop, in increasing order.  Points
+    are numbered bottom 0..n-1, middle n..2n-1 and top 2n..3n-1."""
+    n = len(mO) // 2
+    piece = list(range(3 * n))  # union-find over the points
+
+    def find(x):
+        while piece[x] != x:
+            x = piece[x]
+        return x
+
+    for p, q in list(enumerate(mO)) + [(p + n, q + n) for p, q in enumerate(mP)]:
+        piece[find(p)] = find(q)
+    ends = {}
+    for p in list(range(n)) + list(range(2 * n, 3 * n)):
+        ends.setdefault(find(p), []).append(p if p < n else p - n)
+    match = [None] * (2 * n)
+    for p, q in ends.values():
+        match[p], match[q] = q, p
+    loops = {}  # root of each closed loop -> its least middle column
+    for c in range(n):
+        if find(n + c) not in ends:
+            loops.setdefault(find(n + c), c)
+    return tuple(match), tuple(sorted(loops.values()))
+
+
+def closure_circles(obj, n):
+    """Circles of the trace closure, as frozensets of boundary points,
+    ordered by least point."""
+    match, _nc = obj
+    seen = set()
+    circles = []
+    for p0 in range(2 * n):
+        if p0 in seen:
+            continue
+        orbit = set()
+        p = p0
+        while p not in orbit:
+            orbit.add(p)
+            q = match[p]
+            orbit.add(q)
+            p = q - n if q >= n else q + n
+        seen |= orbit
+        circles.append(frozenset(orbit))
+    circles.sort(key=min)
+    return circles
+
+
 def stacked_objects(O, P):
     """P on top of O: the composite object and the least middle column of
-    each new circle (``vcomp``)."""
-    match, least, _arcs, _loops = vcomp(O[0], P[0])
+    each new circle."""
+    match, least = stack_matchings(O[0], P[0])
     return (match, O[1] + P[1] + len(least)), least
 
 
@@ -187,9 +238,9 @@ def close_morphism(fm, A, B, n):
     _, p2cF = match_cycles(mA, ncA, mB, ncB)
     joins = [(p2cF[c], p2cF[n + c]) for c in range(n)]
     boundary = [(("s", i), ("s", i)) for i in range(ncA)]
-    boundary += [(("s", ncA + k), p2cF[min(c)]) for k, c in enumerate(close_object(A, n))]
+    boundary += [(("s", ncA + k), p2cF[min(c)]) for k, c in enumerate(closure_circles(A, n))]
     boundary += [(("t", j), ("t", j)) for j in range(ncB)]
-    boundary += [(("t", ncB + k), p2cF[min(c)]) for k, c in enumerate(close_object(B, n))]
+    boundary += [(("t", ncB + k), p2cF[min(c)]) for k, c in enumerate(closure_circles(B, n))]
     out = {}
     for (pf, df), cf in fm.items():
         look = {cid: i for i, block in enumerate(pf) for cid in block}

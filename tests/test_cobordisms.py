@@ -13,7 +13,8 @@ import pytest
 
 import cobordism_oracle as oracle
 from khlee.tlscan import (_PLAIN, _cap_circles, _closed_entries, _vertical_match, close_morphism,
-                          close_object, compose, identity_morphism, stack, stacked_objects)
+                          close_object, compose, identity_morphism, stack, stacked_objects,
+                          vcomp)
 
 ONE = {0: 1}  # the oracle's Q[t] unit
 
@@ -85,6 +86,21 @@ def test_matchings_are_catalan():
     assert [len(_matchings(n)) for n in (1, 2, 3, 4)] == [1, 2, 5, 14]
 
 
+def test_scanner_walks_match_the_oracle():
+    # the closure circles and the stacked matchings, on every pair of
+    # crossingless matchings on 1 to 4 strands: least points, the circle of
+    # each point and the composite matching
+    for n in (1, 2, 3, 4):
+        for mO, mP in itertools.product(_matchings(n), repeat=2):
+            for m in (mO, vcomp(mO, mP)[0]):
+                circles = oracle.closure_circles((m, 0), n)
+                least, cyc = close_object((m, 0))
+                assert least == [min(c) for c in circles], m
+                assert cyc == [i for p in range(2 * n)
+                               for i, circle in enumerate(circles) if p in circle], m
+            assert vcomp(mO, mP) == oracle.stack_matchings(mO, mP), (mO, mP)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_compose_matches_the_oracle(n):
     rng = random.Random(3)
@@ -135,8 +151,8 @@ def test_closure_matches_the_oracle(n):
     # labels ms to target labels mt has degree q(mt) - q(ms), with q(m) the
     # number of circles less twice the x labels
     for A, B in itertools.product(_objects(n), repeat=2):
-        ka = A[1] + len(close_object(A, n))
-        kb = B[1] + len(close_object(B, n))
+        ka = A[1] + len(oracle.closure_circles(A, n))
+        kb = B[1] + len(oracle.closure_circles(B, n))
         ids = [("s", i) for i in range(ka)] + [("t", j) for j in range(kb)]
         for fm in _masks(A, B):
             degree = _degree(fm, oracle.curve_ids(A, B), n)

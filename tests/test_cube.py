@@ -115,7 +115,6 @@ def _cube_fields(c):
     """gen_h, gen_q and pos by id, the entries sorted, and gen() on every
     (choice, label mask) key of the cube."""
     cx, d = c.complex, c.diagram
-    assert cx.inc == {g: {s: row[g] for s, row in cx.out.items() if g in row} for g in cx.out}
     keys = []
     for r in sorted(set(cx.pos.values())):
         choice = tuple(r >> i & 1 for i in range(d.n_crossings))

@@ -98,5 +98,3 @@ def test_structure_constants():
     assert FrobeniusData.comul[0] == ((1, 0, (0, 1)), (1, 0, (1, 0)))
     assert FrobeniusData.comul[1] == ((1, 0, (1, 1)), (1, 1, (0, 0)))
     assert FrobeniusData.counit == {0: 0, 1: 1}
-    assert FrobeniusData.label_q(0) == 1
-    assert FrobeniusData.label_q(1) == -1

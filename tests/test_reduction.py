@@ -166,7 +166,7 @@ def test_dims_match_rank_oracle():
 
 def _plain(cx, src, tgt, coeff, texp):
     """Set an entry straight into the dictionaries, past add_entry."""
-    cx.out[src][tgt] = cx.inc[tgt][src] = (Fraction(coeff), texp)
+    cx.out[src][tgt] = (Fraction(coeff), texp)
 
 
 def test_inhomogeneous_entry_raises():
@@ -223,7 +223,7 @@ def test_reduced_coefficients_are_fractions():
             assert all(type(c) is Fraction for c in v.values())
         reduced = [red] if d.braid is None else [red, scan_complex(d)]
         for cx in reduced:
-            for row in list(cx.out.values()) + list(cx.inc.values()):
+            for row in cx.out.values():
                 assert all(type(c) is Fraction for c, _e in row.values())
 
 

@@ -143,6 +143,6 @@ def test_snf_refuses_a_non_complex():
 def test_snf_refuses_an_inhomogeneous_entry():
     cx = _two_term([0], [4], {(0, 0): 1})
     src, tgt = 0, 1
-    cx.out[src][tgt] = cx.inc[tgt][src] = (1, 0)  # q jumps by 4 with t^0
+    cx.out[src][tgt] = (1, 0)  # q jumps by 4 with t^0
     with pytest.raises(KhleeError, match="inhomogeneous entry"):
         _graded_snf(cx)

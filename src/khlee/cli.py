@@ -17,9 +17,8 @@ import time
 from .corpus import BUILTIN_S3_NAMES, BUILTIN_SSR_NAMES, builtin_diagram, builtin_ssr
 from .diagrams import BraidWord, from_braid
 from .errors import KhleeError, ParseError
-from .lee import ENGINES, deformed_complex, s_all_orientations, s_invariant
+from .lee import ENGINES, homology_module, s_all_orientations, s_invariant
 from .pdcode import parse_pd
-from .smith import homology_qt
 from .ssr import SsrDiagram, s_ssr, stabilization_check
 from .verify import run_suite
 
@@ -154,8 +153,7 @@ def cmd_s(args):
 
 def cmd_kh(args):
     d = load_diagram(args)
-    cx = deformed_complex(d, args.engine, args.limit)
-    summary = homology_qt(cx)
+    summary = homology_module(d, args.engine, args.limit)
     dims0 = {f"{h},{q}": v for (h, q), v in sorted(summary.dims_t0().items())}
     _emit(args, {"module": summary.to_dict(), "kh_dims_t0": dims0}, "kh")
     return 0
@@ -163,8 +161,8 @@ def cmd_kh(args):
 
 def cmd_lee(args):
     d = load_diagram(args)
-    cx = deformed_complex(d, args.engine, args.limit)
-    dims1 = {str(h): v for h, v in sorted(homology_qt(cx).dims_t1().items())}
+    summary = homology_module(d, args.engine, args.limit)
+    dims1 = {str(h): v for h, v in sorted(summary.dims_t1().items())}
     reports = s_all_orientations(d, engine=args.engine, limit=args.limit)
     levels = [{"orientation": list(r.orientation), "s_min": r.s_min, "s_max": r.s_max}
               for r in reports]

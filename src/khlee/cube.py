@@ -84,7 +84,9 @@ def build_cube(d: OrientedDiagram, limit=None, h_window=None) -> CubeComplex:
             raise ResourceLimit(
                 f"cube reached {total} generators after {len(k)} of "
                 f"{len(rs)} resolutions, over the generator limit of {limit} "
-                f"(--limit or KHLEE_LIMIT)")
+                f"(--limit or KHLEE_LIMIT), building "
+                f"{'the window' if h_window is not None else 'the full cube'} "
+                f"of h in [{lo}, {hi}]")
 
     cx = GradedComplex()
     cx.pos = {}

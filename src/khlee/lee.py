@@ -13,6 +13,13 @@ ring map, so the cycles are tracked as their values there.  The level of
 [z] is the q-degree of the first coordinate at which z stops being
 reducible modulo boundaries.  ``run_engine`` picks the engine for every
 caller, and under ``both`` checks one against the other.
+
+s_+ = -s(m(D)) needs the mirror's Lee classes.  C(m(D)) is the dual of
+C(D) with h and q negated, so ``brute`` reads them off D's own cube as
+covectors, pulled back through the same elimination, and solves their
+levels on the transposed map C^0 -> C^1 with q negated; ``scan`` scans
+m(D).  Every module reported is checked against Lee's count of its free
+ranks by degree (``check_lee_degrees``).
 """
 
 from __future__ import annotations
@@ -118,6 +125,8 @@ def _level_solver(gen_q, gens_h0, columns):
         space.insert({index[g]: v for g, v in col.items() if v})
 
     def level(vec) -> int:
+        if not vec.keys() <= index.keys():
+            raise InconsistentModule("the chain has entries outside degree 0")
         v = {index[g]: c for g, c in vec.items() if c}
         if not v:
             raise InconsistentModule("zero vector has no filtration level")
@@ -167,30 +176,77 @@ class SReport:
         }
 
 
-def _brute_levels(dd: OrientedDiagram, chain: LeeChain, limit, want_module=False):
-    """(levels, module) on the cube of resolutions reduced by the unit
-    elimination, the Lee cycles tracked through it.
+def _brute_levels(dd: OrientedDiagram, chain: LeeChain, limit, want_module=False,
+                  want_plus=False):
+    """(levels, mirror levels, module) on the cube of resolutions reduced by
+    the unit elimination, the Lee cycles tracked through it.
 
-    The levels are those of (s_o, s_obar, s_o + s_obar, s_o - s_obar).  They
-    read only degrees -1 and 0, so the cube is built on that window unless
+    The levels are those of (s_o, s_obar, s_o + s_obar, s_o - s_obar), and
+    read only degrees -1 and 0.  C(m(D)) is the dual of C(D) with h and q
+    negated (M. Khovanov, Duke Math. J. 101, 2000, section 7), and mirroring
+    keeps the planar map, hence the circle signs.  So with ``want_plus`` the
+    mirror's Lee cycles are covectors at h = 0 of this cube, the same +-1
+    vectors as its own, pulled back through the elimination; their levels,
+    the mirror levels, read degrees 0 and 1.  The cube is built on the
+    window the levels read, (-1, 1) or (-1, 0) (mirror levels None), unless
     the module is wanted, which needs every degree; the module is left out
     (None) above MODULE_CROSSING_MAX crossings.
     """
     want_module = want_module and dd.n_crossings <= MODULE_CROSSING_MAX
-    cube = build_cube(dd, limit=limit, h_window=None if want_module else (-1, 0))
+    window = None if want_module else (-1, 1) if want_plus else (-1, 0)
+    cube = build_cube(dd, limit=limit, h_window=window)
     vectors = [lee_vector_in_cube(ch, cube) for ch in (chain, chain.conjugate())]
-    red, (vo, vbar) = scan_reduce(cube.complex, tracked=vectors)
-    levels = _reduced_levels_from_tracked(red, vo, vbar)
-    return levels, homology_qt(red) if want_module else None
+    mirror = None
+    if want_plus:
+        k = len(chain.circle_signs)
+        _check_pairing(vectors, vectors, k, "before")
+        red, vectors, covectors = scan_reduce(cube.complex, tracked=vectors,
+                                              cotracked=vectors)
+        _check_pairing(vectors, covectors, k, "after")
+        wo, wbar = covectors
+        if k % 2:
+            # the dual basis of {1, x} is {x, 1}, so w_o and w_obar are the
+            # mirror's s_o and s_obar times prod eps_j and (-1)^k prod eps_j:
+            # this puts the combinations in the mirror's order
+            wbar = {g: -c for g, c in wbar.items()}
+        mirror = _reduced_levels_from_tracked(red, wo, wbar, dual=True)
+    else:
+        red, vectors = scan_reduce(cube.complex, tracked=vectors)
+    levels = _reduced_levels_from_tracked(red, *vectors)
+    return levels, mirror, homology_qt(red) if want_module else None
 
 
-def _reduced_levels_from_tracked(red, vo, vbar):
+def _check_pairing(vectors, covectors, k, when) -> None:
+    """<w_a, v_b> = 2^k delta_ab for the Lee cycles v and covectors w of o
+    and obar, k circles: the elimination keeps the pairing of a cycle with
+    a cocycle, so a broken covector update shows here."""
+    for a, w in enumerate(covectors):
+        for b, v in enumerate(vectors):
+            got = sum(c * v[g] for g, c in w.items() if g in v)
+            if got != (2**k if a == b else 0):
+                raise InconsistentModule(
+                    f"<w_{a}, v_{b}> = {got} {when} the reduction, not "
+                    f"{2**k if a == b else 0}")
+
+
+def _reduced_levels_from_tracked(red, vo, vbar, dual=False):
     """The four levels, on a reduced complex with the tracked Lee vectors
-    ({generator: Fraction}, their values at t = 1)."""
+    ({generator: Fraction}, their values at t = 1).  With ``dual`` they are
+    covectors, and the levels are those of the dual complex: q negated, and
+    its boundaries at h = 0 the rows of d: h0 -> h1."""
     filt = specialize_t(red, 1)
     gens_h0 = [g for g, hh in filt.gen_h.items() if hh == 0]
-    cols = [dict(filt.out[src]) for src in filt.gens_at(-1) if filt.out[src]]
-    solver = _level_solver(filt.gen_q, gens_h0, cols)
+    if dual:
+        gen_q = {g: -q for g, q in filt.gen_q.items()}
+        rows = {}
+        for src in gens_h0:
+            for tgt, c in filt.out[src].items():
+                rows.setdefault(tgt, {})[src] = c
+        cols = [rows[tgt] for tgt in sorted(rows)]
+    else:
+        gen_q = filt.gen_q
+        cols = [dict(filt.out[src]) for src in filt.gens_at(-1) if filt.out[src]]
+    solver = _level_solver(gen_q, gens_h0, cols)
     plus = {g: vo.get(g, 0) + vbar.get(g, 0) for g in set(vo) | set(vbar)}
     minus = {g: vo.get(g, 0) - vbar.get(g, 0) for g in set(vo) | set(vbar)}
     return solver(vo), solver(vbar), solver(plus), solver(minus)
@@ -237,44 +293,113 @@ def deformed_complex(d: OrientedDiagram, engine: str = "auto", limit=None):
         lambda cx: {"the Q[t]-module": homology_qt(cx)})
 
 
+def lee_degree_counts(d: OrientedDiagram) -> dict:
+    """Lee's count of the t=1 homology by degree: one generator per
+    orientation, in degree 2 lk(E, L \\ E) for the set E of components it
+    reverses (E. S. Lee, Adv. Math. 197, 2005, Prop. 4.3).  {h: count}.
+
+    lk(E, L \\ E) adds up over the pieces of components linked to each other,
+    so the subsets are enumerated per piece, and an unlink costs nothing."""
+    lk = d.linking_matrix()
+    counts, left = {0: 1}, set(range(d.n_components))
+    while left:
+        piece, stack = [], [min(left)]
+        while stack:
+            i = stack.pop()
+            if i in left:
+                left.discard(i)
+                piece.append(i)
+                stack += [j for j in left if lk[i][j]]
+        local = {}
+        for bits in range(1 << len(piece)):
+            h = 2 * sum(lk[i][j] for n, i in enumerate(piece) if bits >> n & 1
+                        for m, j in enumerate(piece) if not bits >> m & 1)
+            local[h] = local.get(h, 0) + 1
+        merged = {}
+        for h, c in counts.items():
+            for g, m in local.items():
+                merged[h + g] = merged.get(h + g, 0) + c * m
+        counts = merged
+    return counts
+
+
+def check_lee_degrees(d: OrientedDiagram, summary) -> None:
+    """Raise InconsistentModule unless the module's free rank in each
+    degree is Lee's count; their sum is the free rank 2^components."""
+    want, got = lee_degree_counts(d), summary.dims_t1()
+    if got != want:
+        raise InconsistentModule(
+            f"free ranks by degree {dict(sorted(got.items()))} differ from Lee's "
+            f"count {dict(sorted(want.items()))} for {d.n_components} components")
+
+
+def homology_module(d: OrientedDiagram, engine: str = "auto", limit=None):
+    """The homology of d as a graded Q[t]-module (``deformed_complex``), its
+    free part checked against Lee's count degree by degree."""
+    summary = homology_qt(deformed_complex(d, engine, limit))
+    check_lee_degrees(d, summary)
+    return summary
+
+
+def _s_from_levels(levels, ell) -> int:
+    """s = s_min + 1 from the four levels, after the checks: equal levels
+    of s_o and s_obar, combination levels {s_min, s_min + 2}, and parity."""
+    lo, lbar, lplus, lminus = levels
+    if lo != lbar:
+        raise InconsistentModule(f"q[s_o] = {lo} differs from q[s_obar] = {lbar}")
+    if sorted((lplus, lminus)) != [lo, lo + 2]:
+        raise InconsistentModule(
+            f"combination levels {lplus, lminus} are not {{s_min, s_min+2}}")
+    s = lo + 1
+    if (s - (ell - 1)) % 2 != 0:
+        raise InconsistentModule(f"s = {s} violates parity for {ell} components")
+    return s
+
+
 def s_invariant(d: OrientedDiagram, orientation=None, engine: str = "auto",
                 limit=None, with_module: bool = True, _compute_plus: bool = True) -> SReport:
-    """Full s-invariant report for one orientation class."""
+    """Full s-invariant report for one orientation class.
+
+    s_- = s is read off d's Lee classes, and s_+ = -s(m(d)) off those of
+    the mirror, in the same engine call: brute reads them as covectors on
+    d's own cube (``_brute_levels``), scan scans m(d).  Without
+    ``_compute_plus`` no mirror is read and s_+ is reported as s.  The
+    module, when computed, must have Lee's free ranks degree by degree.
+    """
     if d.n_components == 0:
         # the empty link has s = 1 by convention, for both signs
         return SReport((), 1, 0, 2, 1, 1, [0])
     chain = lee_generator(d, orientation)
     dd = chain.diagram
-    levels, summary = run_engine(
+
+    def scan():
+        levels, summary = scan_levels(dd, chain, limit=limit, want_module=with_module)
+        mirror = None
+        if _compute_plus:
+            mchain = lee_generator(d.mirror(), orientation)
+            mirror, _ = scan_levels(mchain.diagram, mchain, limit=limit, want_module=False)
+        return levels, mirror, summary
+
+    levels, mirror, summary = run_engine(
         dd, engine,
-        lambda: _brute_levels(dd, chain, limit, with_module),
-        lambda: scan_levels(dd, chain, limit=limit, want_module=with_module),
+        lambda: _brute_levels(dd, chain, limit, with_module, _compute_plus),
+        scan,
         lambda result: {"the levels of (s_o, s_obar, s_o + s_obar, s_o - s_obar)": result[0],
-                        "the Q[t]-module": result[1]})
-    lo, lbar, lplus, lminus = levels
-    if lo != lbar:
-        raise InconsistentModule(f"q[s_o] = {lo} differs from q[s_obar] = {lbar}")
-    smin = lo
-    if sorted((lplus, lminus)) != [smin, smin + 2]:
-        raise InconsistentModule(
-            f"combination levels {lplus, lminus} are not {{s_min, s_min+2}}")
-    s = smin + 1
+                        "the mirror's levels of (s_o, s_obar, s_o + s_obar, s_o - s_obar)":
+                            result[1],
+                        "the Q[t]-module": result[2]})
     ell = d.n_components
-    if (s - (ell - 1)) % 2 != 0:
-        raise InconsistentModule(f"s = {s} violates parity for {ell} components")
-    s_plus = None
-    if _compute_plus:
-        rep_m = s_invariant(d.mirror(), orientation, engine=engine, limit=limit,
-                            with_module=False, _compute_plus=False)
-        s_plus = -rep_m.s
+    s = _s_from_levels(levels, ell)
+    s_plus = s
+    if mirror is not None:
+        s_plus = -_s_from_levels(mirror, ell)
         if s_plus < s:
             raise InconsistentModule(f"s_- = {s} exceeds s_+ = {s_plus}")
-    free_q = summary.free_q_at(0) if summary is not None else []
-    if summary is not None and summary.free_rank() != 2**ell:
-        raise InconsistentModule(
-            f"free rank {summary.free_rank()} != 2^{ell}")
-    return SReport(chain.orientation, s, smin, smin + 2, s,
-                   s_plus if s_plus is not None else s, free_q)
+    free_q = []
+    if summary is not None:
+        check_lee_degrees(dd, summary)
+        free_q = summary.free_q_at(0)
+    return SReport(chain.orientation, s, s - 1, s + 1, s, s_plus, free_q)
 
 
 def s_all_orientations(d: OrientedDiagram, engine: str = "auto", limit=None):

@@ -8,9 +8,11 @@ lower exponent is left, so its pivot divides its whole row and column.
   is a chain-homotopy equivalence (D. Bar-Natan, "Fast Khovanov homology
   computations", JKTR 16, 2007).  ``scan_reduce`` is this pass, with
   optional tracked vectors pushed through the retraction so Lee cycles
-  keep their homology classes and quantum filtration levels.  The levels
-  read a cycle at t = 1 only, and setting t := 1 is a ring map, so a
-  tracked vector holds its values there: the retraction's t-powers are 1.
+  keep their homology classes and quantum filtration levels, and optional
+  tracked covectors pulled back through the inclusion so cocycles keep
+  theirs.  The levels read a (co)cycle at t = 1 only, and setting t := 1
+  is a ring map, so a tracked (co)vector holds its values there: the
+  t-powers of the change of basis are 1.
 - Pivots go by least Markowitz count (row length times column length,
   taken when queued).  On a cube of resolutions ``build_cube`` records
   each generator's resolution bitmask in ``cx.pos``, and at k = 0 the bit
@@ -73,7 +75,7 @@ def entry_tables(cx: GradedComplex):
     return out, inc
 
 
-def eliminate(out, inc, k, vectors=(), pos=None):
+def eliminate(out, inc, k, vectors=(), pos=None, covectors=()):
     """Eliminate every c*t^k entry of the tables, which hold none of lower
     exponent.
 
@@ -82,8 +84,11 @@ def eliminate(out, inc, k, vectors=(), pos=None):
     k, and splits (b, c0) off as a summand with homology Q[t]/(t^k) at c0
     (none when k = 0).  The entries into b and out of c0 vanish in the new
     basis because d o d = 0, so they are dropped.  ``vectors`` ({generator:
-    number}, values at t = 1) follow the same change of basis in place.
-    Returns the eliminated (b, c0) pairs in order.
+    number}, values at t = 1) follow the same change of basis in place, and
+    so do ``covectors`` (functionals, by their values on the generators):
+    the inclusion of the smaller complex sends each e into c0 to
+    e - d(e->c0) / lam b, so w(e) -= d(e->c0) / lam w(b).  Either way b and
+    c0 are dropped.  Returns the eliminated (b, c0) pairs in order.
 
     ``pos`` ({generator: int}), when given, puts the bit length of
     pos[b] ^ pos[c0] in front of the Markowitz count in the pivot key.
@@ -121,6 +126,18 @@ def eliminate(out, inc, k, vectors=(), pos=None):
                         v[f] = s
                     else:
                         del v[f]
+        # pullback on tracked covectors: w(e) -= d(e -> c0) / lam * w(b)
+        for w in covectors:
+            wb = w.pop(b, None)
+            w.pop(c0, None)
+            if wb:
+                fac = _quotient(-wb, lam)
+                for e, (ce, _be) in ins:
+                    s = w.get(e, 0) + ce * fac
+                    if s:
+                        w[e] = s
+                    else:
+                        del w[e]
         for g in (b, c0):
             for tgt in out.pop(g):
                 del inc[tgt][g]
@@ -150,19 +167,23 @@ def eliminate(out, inc, k, vectors=(), pos=None):
     return pairs
 
 
-def scan_reduce(cx: GradedComplex, tracked=None):
+def scan_reduce(cx: GradedComplex, tracked=None, cotracked=None):
     """Reduce until no invertible (t^0) entry remains.
 
     ``tracked`` is a list of vectors {generator id: number}, the values of
     cycles at t = 1; copies are rewritten through each elimination's
-    retraction and come back as {generator id: Fraction}.  The positions of
-    a cube (``cx.pos``) order the pivots as in ``eliminate``.  Returns the reduced
-    complex, or (reduced complex, tracked copies) when ``tracked`` is given.
-    ``cx`` is not modified.
+    retraction and come back as {generator id: Fraction}.  ``cotracked``
+    does the same for covectors, the values of cocycles at t = 1 on the
+    generators.  The positions of a cube (``cx.pos``) order the pivots as in
+    ``eliminate``.  Returns the reduced complex, (reduced complex, tracked
+    copies) when ``tracked`` is given, and (reduced complex, tracked copies,
+    cotracked copies) when ``cotracked`` is given too.  ``cx`` is not
+    modified.
     """
     out, inc = entry_tables(cx)
     vectors = [dict(v) for v in tracked] if tracked else []
-    eliminate(out, inc, 0, vectors, cx.pos)
+    covectors = [dict(w) for w in cotracked] if cotracked else []
+    eliminate(out, inc, 0, vectors, cx.pos, covectors)
 
     red = GradedComplex()
     for g in out:
@@ -170,6 +191,9 @@ def scan_reduce(cx: GradedComplex, tracked=None):
     for src, row in out.items():
         for tgt, (c, e) in row.items():
             red.add_entry(src, tgt, c, e)
-    if tracked is None:
+    if tracked is None and cotracked is None:
         return red
-    return red, [{g: Fraction(c) for g, c in v.items()} for v in vectors]
+    vectors = [{g: Fraction(c) for g, c in v.items()} for v in vectors]
+    if cotracked is None:
+        return red, vectors
+    return red, vectors, [{g: Fraction(c) for g, c in w.items()} for w in covectors]

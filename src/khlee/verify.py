@@ -26,7 +26,9 @@ def _s(d, engine="auto", plus=False):
 
 
 def suite_oracle(quick: bool = False):
-    """Brute-vs-scan agreement (engine ``both``) and Lee dimension counts."""
+    """Brute-vs-scan agreement (engine ``both``) and Lee dimension counts.
+    The s check reads s_+ too: brute's from the mirror's covectors on d's
+    cube, scan's from a scan of the mirror."""
     corpus = small_corpus()
     braids = random_braids(count=20 if quick else 100)
     named = corpus + [(f"braid{i}", from_braid(w)) for i, w in enumerate(braids)]
@@ -42,7 +44,7 @@ def suite_oracle(quick: bool = False):
         if sum(homology_qt(cx).dims_t1().values()) != 2 ** d.n_components:
             bad_dim.append(name)
         try:
-            _s(d, engine="both")
+            _s(d, engine="both", plus=True)
         except KhleeError as e:
             bad_s.append(f"{name}: {e}")
     yield ("brute-vs-scan homology equivalence", not bad_hom, "; ".join(bad_hom) or "all match")
@@ -88,8 +90,8 @@ def suite_s3(quick: bool = False):
         if d.n_crossings > 8 or d.n_components == 0:
             continue
         chain = lee_generator(d)
-        (lo, lb, lp, lm), _ = _brute_levels(d, chain, None)
-        (lo2, lb2, lp2, lm2), _ = _brute_levels(d, chain.conjugate(), None)
+        (lo, lb, lp, lm), _, _ = _brute_levels(d, chain, None)
+        (lo2, lb2, lp2, lm2), _, _ = _brute_levels(d, chain.conjugate(), None)
         if (lo, lb) != (lo2, lb2) or sorted((lp, lm)) != sorted((lp2, lm2)):
             bad.append(name)
     yield ("global sign-flip of circle signs leaves s unchanged", not bad,

@@ -1,9 +1,10 @@
 import pytest
 
 from khlee.cube import build_cube, specialize_t
-from khlee.diagrams import BraidWord, from_braid
-from khlee.errors import InconsistentModule
-from khlee.lee import lee_generator, lee_vector_in_cube, s_all_orientations, s_invariant
+from khlee.diagrams import BraidWord, disjoint_union, from_braid
+from khlee.errors import InconsistentModule, KhleeError, ResourceLimit
+from khlee.lee import (check_lee_degrees, homology_module, lee_degree_counts, lee_generator,
+                       lee_vector_in_cube, s_all_orientations, s_invariant)
 from khlee.smith import HomologySummary, homology_qt
 from rank_oracle import filtration_level
 
@@ -256,6 +257,115 @@ def test_brute_module_report_matches_scan_on_f2_1():
 
     d = builtin_diagram("F_2(1)")
     assert s_invariant(d, engine="brute").to_dict() == s_invariant(d, engine="scan").to_dict()
+
+
+def _classes(d):
+    ell = d.n_components
+    return [(1,) + tuple(-1 if bits >> i & 1 else 1 for i in range(ell - 1))
+            for bits in range(2 ** (ell - 1))]
+
+
+def test_dual_mirror_levels_match_the_mirror_pass():
+    # brute reads the mirror's four levels off covectors on d's own cube;
+    # the mirror's own cube is the oracle, level for level, on every class
+    # of the named corpus up to 6 crossings
+    from khlee.corpus import small_corpus
+    from khlee.lee import _brute_levels
+
+    compared = 0
+    for name, d in small_corpus():
+        if not d.n_components or d.n_crossings > 6:
+            continue
+        for o in _classes(d):
+            chain = lee_generator(d, o)
+            _levels, mirror, _ = _brute_levels(chain.diagram, chain, None, want_plus=True)
+            mchain = lee_generator(d.mirror(), o)
+            want, none, _ = _brute_levels(mchain.diagram, mchain, None)
+            assert none is None and mirror == want, (name, o)
+            compared += 1
+    assert compared >= 40
+
+
+@pytest.mark.parametrize("name", ["F_1(2)", "F_2,1(1)", "C_(2,3)(1)", "T(2,6)", "T(3,4)"])
+def test_dual_s_plus_matches_the_scanned_mirror(name):
+    # under both, the scanner's mirror pass checks brute's dual levels
+    from khlee.corpus import builtin_diagram
+
+    d = builtin_diagram(name)
+    reports = [r.to_dict() for r in s_all_orientations(d, engine="both")]
+    assert reports == [r.to_dict() for r in s_all_orientations(d, engine="scan")]
+
+
+def test_both_names_a_mirror_disagreement(monkeypatch):
+    from khlee import lee
+    from khlee.corpus import builtin_diagram
+
+    brute_levels = lee._brute_levels
+
+    def mirror_off_by_two(*args):
+        levels, mirror, module = brute_levels(*args)
+        return levels, tuple(x + 2 for x in mirror), module
+
+    monkeypatch.setattr(lee, "_brute_levels", mirror_off_by_two)
+    with pytest.raises(KhleeError, match=r"disagree on the mirror's levels .*: "
+                                         r"brute \(-1, -1, 1, -1\), scan \(-3, -3, -1, -3\)"):
+        s_invariant(builtin_diagram("trefoil+"), engine="both", with_module=False)
+
+
+def test_lee_degree_count():
+    from khlee.corpus import builtin_diagram
+
+    hopf = builtin_diagram("hopf+")
+    assert lee_degree_counts(hopf) == {0: 2, 2: 2}
+    assert lee_degree_counts(hopf.reorient({1})) == {0: 2, -2: 2}
+    assert lee_degree_counts(builtin_diagram("U3")) == {0: 8}
+    # pieces with no linking between them add their degrees: the subsets are
+    # counted per piece, so 2^16 orientations of an unlink cost nothing
+    assert lee_degree_counts(disjoint_union(hopf, hopf)) == {0: 4, 2: 8, 4: 4}
+    assert lee_degree_counts(builtin_diagram("U16")) == {0: 2**16}
+    assert homology_module(hopf, engine="brute").dims_t1() == {0: 2, 2: 2}
+
+
+def _moved(summary):
+    """The module with one free summand moved up two degrees: the same
+    total free rank, in the wrong degrees."""
+    (h, q), *rest = summary.free
+    return HomologySummary(sorted([(h + 2, q)] + rest), summary.torsion)
+
+
+def test_a_moved_free_summand_is_inconsistent(monkeypatch):
+    from khlee import lee, tlscan
+    from khlee.corpus import builtin_diagram
+
+    d = builtin_diagram("hopf+")
+    moved = _moved(homology_qt(build_cube(d).complex))
+    assert moved.free_rank() == 2 ** d.n_components
+    with pytest.raises(InconsistentModule, match=r"free ranks by degree \{0: 1, 2: 3\} "
+                                                  r"differ from Lee's count \{0: 2, 2: 2\}"):
+        check_lee_degrees(d, moved)
+    # every module the library reports goes through the check: kh, lee's
+    # t=1 dimensions (both through homology_module) and s with the module
+    for module in (lee, tlscan):
+        monkeypatch.setattr(module, "homology_qt", lambda cx: _moved(homology_qt(cx)))
+    with pytest.raises(InconsistentModule, match="free ranks by degree"):
+        homology_module(d, engine="brute")
+    for engine in ("brute", "scan"):
+        with pytest.raises(InconsistentModule, match="free ranks by degree"):
+            s_invariant(d, engine=engine)
+
+
+def test_window_limit_names_its_range():
+    # s_+ reads the (-1, 1) window, larger than either (-1, 0) window, so a
+    # tight limit stops there; the message says which h range was built
+    from khlee.corpus import builtin_diagram
+
+    d = builtin_diagram("figure8")
+    for kwargs, what in [({"with_module": False}, r"the window of h in \[-1, 1\]"),
+                         ({"with_module": False, "_compute_plus": False},
+                          r"the window of h in \[-1, 0\]"),
+                         ({}, r"the full cube of h in \[-2, 2\]")]:
+        with pytest.raises(ResourceLimit, match=r"generator limit of 4 .*, building " + what):
+            s_invariant(d, engine="brute", limit=4, **kwargs)
 
 
 def test_s_reports_are_pinned():

@@ -81,6 +81,65 @@ def test_tracked_vector_retraction_preserves_class():
         assert _raw_window_levels(d, chain) == reduced
 
 
+def test_covector_follows_the_pivot():
+    # d(a) = d(b) = c: the pivot (a, c) goes first, v = a - b keeps b, and
+    # w = a* is pulled back to e - d(e -> c) / lam a at e = b, so <w, v> = 1
+    # stays; a flipped sign or w read at c instead of a breaks it
+    cx = GradedComplex()
+    a, b, c = cx.add_gen(0, 0), cx.add_gen(0, 0), cx.add_gen(1, 0)
+    cx.add_entry(a, c, 1, 0)
+    cx.add_entry(b, c, 1, 0)
+    _red, (v,), (w,) = scan_reduce(cx, tracked=[{a: 1, b: -1}], cotracked=[{a: 1}])
+    assert (v, w) == ({b: -1}, {b: -1})
+    # a non-unit pivot: d(a) = 2c, d(b) = 3c, so w(b) = -3/2
+    cx = GradedComplex()
+    a, b, c = cx.add_gen(0, 0), cx.add_gen(0, 0), cx.add_gen(1, 0)
+    cx.add_entry(a, c, 2, 0)
+    cx.add_entry(b, c, 3, 0)
+    _red, (v,), (w,) = scan_reduce(cx, tracked=[{a: 3, b: -2}], cotracked=[{a: 1}])
+    assert (v, w) == ({b: -2}, {b: Fraction(-3, 2)})
+
+
+def _pairings(vectors, covectors):
+    return [[sum(c * v.get(g, 0) for g, c in w.items()) for v in vectors]
+            for w in covectors]
+
+
+def test_covectors_keep_the_lee_pairing():
+    # the Lee cycles v_o, v_obar and the same vectors read as cocycles pair
+    # as 2^k delta (k circles) before and after the reduction of the (-1, 1)
+    # window and of the full cube, whose pivots hit both sides of h = 0
+    from khlee.lee import lee_generator, lee_vector_in_cube
+
+    diagrams = [d for _name, d in small_corpus() if d.n_components and d.n_crossings <= 6]
+    diagrams += [from_braid(w) for w in random_braids(count=10, seed=53, max_letters=6)]
+    for d in diagrams:
+        chain = lee_generator(d)
+        k = len(chain.circle_signs)
+        for window in ((-1, 1), None):
+            cube = build_cube(chain.diagram, h_window=window)
+            vs = [lee_vector_in_cube(ch, cube) for ch in (chain, chain.conjugate())]
+            assert _pairings(vs, vs) == [[2**k, 0], [0, 2**k]]
+            red, vs, ws = scan_reduce(cube.complex, tracked=vs, cotracked=vs)
+            assert _pairings(vs, ws) == [[2**k, 0], [0, 2**k]], d.braid
+            assert all(red.gen_h[g] == 0 for w in ws for g in w)
+
+
+def test_broken_pairing_is_inconsistent(monkeypatch):
+    from khlee import lee
+    from khlee.errors import InconsistentModule
+
+    def dropped_covector(cx, tracked, cotracked):
+        red, vs, ws = scan_reduce(cx, tracked=tracked, cotracked=cotracked)
+        return red, vs, [ws[0], {}]
+
+    monkeypatch.setattr(lee, "scan_reduce", dropped_covector)
+    d = from_braid(BraidWord(2, (1, 1, 1)))
+    chain = lee.lee_generator(d)
+    with pytest.raises(InconsistentModule, match=r"<w_1, v_1> = 0 after the reduction"):
+        lee._brute_levels(d, chain, None, want_plus=True)
+
+
 def test_brute_levels_match_raw_window_solve():
     # the brute engine solves on the reduced window; the raw solve on the
     # unreduced window is its oracle, over both mirror images
@@ -95,8 +154,8 @@ def test_brute_levels_match_raw_window_solve():
         if build_cube(d, h_window=(-1, 0)).complex.n_gens > 1000:
             continue
         chain = lee_generator(d)
-        levels, module = _brute_levels(d, chain, None)
-        assert module is None
+        levels, mirror, module = _brute_levels(d, chain, None)
+        assert mirror is None and module is None
         assert levels == _raw_window_levels(d, chain), d.braid
         compared += 1
     assert compared >= 100

@@ -163,7 +163,8 @@ def cmd_lee(args):
     d = load_diagram(args)
     summary = homology_module(d, args.engine, args.limit)
     dims1 = {str(h): v for h, v in sorted(summary.dims_t1().items())}
-    reports = s_all_orientations(d, engine=args.engine, limit=args.limit)
+    # the levels need no s_+, so no mirror is read
+    reports = s_all_orientations(d, engine=args.engine, limit=args.limit, _compute_plus=False)
     levels = [{"orientation": list(r.orientation), "s_min": r.s_min, "s_max": r.s_max}
               for r in reports]
     _emit(args, {"lee_dims_t1": dims1, "generator_filtration_levels": levels}, "lee")

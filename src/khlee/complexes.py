@@ -1,14 +1,16 @@
 """Finite chain complexes of free Q[t]-modules with q-graded generators.
 
 Homogeneity makes every differential entry a monomial c*t^k with
-q(target) = q(source) + 4k, so entries are stored as (Fraction, int) pairs.
+q(target) = q(source) + 4k, so entries are stored as (c, k) pairs, c in the
+one number form of ``linalg``: an int where integral, else a Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import KhleeError
+from .errors import KhleeError, ParseError
+from .linalg import _exact
 
 
 class GradedComplex:
@@ -35,12 +37,12 @@ class GradedComplex:
         return gid
 
     def add_entry(self, src: int, tgt: int, coeff, texp: int) -> None:
-        c = Fraction(coeff)
+        c = coeff if type(coeff) is int else _exact(Fraction(coeff))
         old = self.out[src].get(tgt)
         if old is not None:
             if old[1] != texp and old[0] and c:
                 raise KhleeError("non-monomial entry would violate homogeneity")
-            c = c + old[0]
+            c = _exact(c + old[0])
         if c == 0:
             self.out[src].pop(tgt, None)
             return
@@ -74,7 +76,7 @@ class GradedComplex:
             for mid, (c1, e1) in row.items():
                 for tgt, (c2, e2) in self.out[mid].items():
                     key = (tgt, e1 + e2)
-                    acc[key] = acc.get(key, Fraction(0)) + c1 * c2
+                    acc[key] = acc.get(key, 0) + c1 * c2
             for (tgt, e), total in acc.items():
                 if total != 0:
                     raise KhleeError(f"d^2 != 0 at {src} -> {tgt} (t^{e}: {total})")
@@ -119,18 +121,33 @@ class GradedComplex:
 
     @classmethod
     def from_text(cls, text: str) -> "GradedComplex":
+        """The complex of ``export_text`` output; ``ParseError`` names the
+        first line that is malformed or breaks the complex's rules."""
         c = cls()
         pending = []
-        for line in text.splitlines():
+        for n, line in enumerate(text.splitlines(), 1):
             parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "GEN":
-                _, h, q, gid = parts
-                c.add_gen(int(h), int(q), gid=int(gid))
-            elif parts[0] == "DIF":
-                _, _h, src, tgt, coeff, tpow = parts
-                pending.append((int(src), int(tgt), Fraction(coeff), int(tpow[2:])))
-        for src, tgt, coeff, e in pending:
-            c.add_entry(src, tgt, coeff, e)
+            try:
+                if parts and parts[0] == "GEN" and len(parts) == 4:
+                    h, q, gid = map(int, parts[1:])
+                    c.add_gen(h, q, gid=gid)
+                elif parts and parts[0] == "DIF" and len(parts) == 6 and parts[5][:2] == "t^":
+                    h, src, tgt = map(int, parts[1:4])
+                    pending.append((n, h, src, tgt, Fraction(parts[4]), int(parts[5][2:])))
+                elif parts:
+                    raise ParseError("expected 'GEN h q id' or 'DIF h src tgt coeff t^e'")
+            except (KhleeError, ValueError, ZeroDivisionError) as e:
+                raise ParseError(f"line {n}: {e}") from None
+        for n, h, src, tgt, coeff, e in pending:
+            try:
+                for g in (src, tgt):
+                    if g not in c.gen_h:
+                        raise ParseError(f"generator {g} is not defined")
+                if c.gen_h[src] != h:
+                    raise ParseError(f"h {h} is not the h {c.gen_h[src]} of generator {src}")
+                if tgt in c.out[src]:
+                    raise ParseError(f"a second entry {src}->{tgt}")
+                c.add_entry(src, tgt, coeff, e)
+            except KhleeError as err:
+                raise ParseError(f"line {n}: {err}") from None
         return c

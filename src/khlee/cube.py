@@ -15,6 +15,7 @@ from .complexes import GradedComplex
 from .diagrams import OrientedDiagram
 from .errors import ParseError, ResourceLimit
 from .frobenius import FrobeniusData
+from .linalg import _exact
 
 DEFAULT_LIMIT = 2**22
 
@@ -51,10 +52,10 @@ class CubeComplex:
 # The signed saddle maps, one entry tuple each for the whole program:
 # {(sign, circles in, circles out): {input labels: [(entry, output labels)]}}
 _SADDLES = {
-    (s, 2, 1): {ab: [((Fraction(s * c), te), (lab,)) for c, te, lab in terms]
+    (s, 2, 1): {ab: [((s * c, te), (lab,)) for c, te, lab in terms]
                 for ab, terms in FrobeniusData.mul.items()} for s in (1, -1)
 } | {
-    (s, 1, 2): {(a,): [((Fraction(s * c), te), labs) for c, te, labs in terms]
+    (s, 1, 2): {(a,): [((s * c, te), labs) for c, te, labs in terms]
                 for a, terms in FrobeniusData.comul.items()} for s in (1, -1)
 }
 
@@ -138,14 +139,14 @@ class FilteredComplex:
 
     gen_h: dict
     gen_q: dict
-    out: dict  # src -> {tgt: Fraction}
+    out: dict  # src -> {tgt: number}
 
     def gens_at(self, h):
         return sorted(g for g, hh in self.gen_h.items() if hh == h)
 
 
 def specialize_t(cx: GradedComplex, value) -> FilteredComplex:
-    v = Fraction(value)
+    v = _exact(Fraction(value))
     out = {}
     for src, row in cx.out.items():
         newrow = {}

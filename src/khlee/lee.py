@@ -115,7 +115,7 @@ def _level_solver(gen_q, gens_h0, columns):
     """Prepare the descending-level solver.
 
     Coordinates are the h=0 generators ordered by ascending q; columns are
-    the boundaries.  Returns a function mapping a vector {gid: Fraction} to
+    the boundaries.  Returns a function mapping a vector {gid: number} to
     the filtration level of its homology class.
     """
     order = sorted(gens_h0, key=lambda g: (gen_q[g], g))
@@ -231,7 +231,7 @@ def _check_pairing(vectors, covectors, k, when) -> None:
 
 def _reduced_levels_from_tracked(red, vo, vbar, dual=False):
     """The four levels, on a reduced complex with the tracked Lee vectors
-    ({generator: Fraction}, their values at t = 1).  With ``dual`` they are
+    ({generator: number}, their values at t = 1).  With ``dual`` they are
     covectors, and the levels are those of the dual complex: q negated, and
     its boundaries at h = 0 the rows of d: h0 -> h1."""
     filt = specialize_t(red, 1)
@@ -402,8 +402,10 @@ def s_invariant(d: OrientedDiagram, orientation=None, engine: str = "auto",
     return SReport(chain.orientation, s, s - 1, s + 1, s, s_plus, free_q)
 
 
-def s_all_orientations(d: OrientedDiagram, engine: str = "auto", limit=None):
-    """One report per orientation class {o, obar}."""
+def s_all_orientations(d: OrientedDiagram, engine: str = "auto", limit=None,
+                       _compute_plus: bool = True):
+    """One report per orientation class {o, obar}; ``_compute_plus`` as in
+    ``s_invariant``."""
     ell = d.n_components
     if ell == 0:
         return [s_invariant(d)]
@@ -414,5 +416,5 @@ def s_all_orientations(d: OrientedDiagram, engine: str = "auto", limit=None):
     for bits in range(2 ** (ell - 1)):
         o = (1,) + tuple(-1 if (bits >> i) & 1 else 1 for i in range(ell - 1))
         reports.append(s_invariant(d, o, engine=engine, limit=limit,
-                                   with_module=False))
+                                   with_module=False, _compute_plus=_compute_plus))
     return reports

@@ -1,14 +1,30 @@
-"""Sparse exact linear algebra over Q for the Lee filtration-level solve
-(columns as {row index: Fraction})."""
+"""Exact numbers, and sparse linear algebra over Q for the Lee level solve.
+
+Every number is an ``int`` where integral, else a ``Fraction``: ``_quotient``
+is the one division and ``_exact`` the one normalization.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 
+def _exact(c):
+    """c as an int when it is integral; otherwise the Fraction itself."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
+def _quotient(a, b):
+    """a / b exactly, never as a float."""
+    if type(a) is int and type(b) is int:
+        quot, rem = divmod(a, b)
+        return Fraction(a, b) if rem else quot
+    return _exact(a / b)
+
+
 class ColumnSpace:
-    """Incremental echelon basis of a column span, supporting reduction of
-    query vectors from the lowest row index upward."""
+    """Incremental echelon basis of a span of columns {row index: number},
+    reducing query vectors from the lowest row index upward."""
 
     def __init__(self, cols=()):
         self.lead = {}
@@ -28,17 +44,17 @@ class ColumnSpace:
         The result's smallest support index cannot be decreased by further
         span elements; all indices below it are exactly zero.
         """
-        vec = dict(vec)
+        vec = {i: c for i, c in vec.items() if c}
         while vec:
             i = min(vec)
             piv = self.lead.get(i)
             if piv is None:
                 return vec
-            f = vec[i] / piv[i]
+            f = _quotient(vec[i], piv[i])
             for r, v in piv.items():
-                nv = vec.get(r, Fraction(0)) - f * v
+                nv = vec.get(r, 0) - f * v
                 if nv:
-                    vec[r] = nv
+                    vec[r] = _exact(nv)
                 else:
                     vec.pop(r, None)
         return vec

@@ -23,38 +23,24 @@ lower exponent is left, so its pivot divides its whole row and column.
   summand per pivot; ``smith._graded_snf`` runs the passes k = 1, 2, ...
   on what ``scan_reduce`` leaves and reads off the graded Smith form.
 
-The elimination runs on plain dictionaries with Python ``int``
-coefficients, falling back to ``Fraction`` only where a pivot does not
-divide; ``scan_reduce`` builds its result once through
-``GradedComplex.add_entry``, which turns every coefficient back into a
-``Fraction``, and hands out the tracked vectors with ``Fraction`` values.
+The elimination runs on plain dictionaries in the program's one number
+form (``linalg``): an ``int`` where integral, a ``Fraction`` only where a
+pivot does not divide.  ``scan_reduce`` builds its result once through
+``GradedComplex.add_entry`` and hands out the tracked vectors as they are.
 """
 
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 
 from .complexes import GradedComplex
 from .errors import KhleeError
-
-
-def _exact(c):
-    """c as an int when it is integral; otherwise the Fraction itself."""
-    return c if type(c) is int or c.denominator != 1 else c.numerator
-
-
-def _quotient(a, b):
-    """a / b exactly, never as a float."""
-    if type(a) is int and type(b) is int:
-        quot, rem = divmod(a, b)
-        return Fraction(a, b) if rem else quot
-    return _exact(a / b)
+from .linalg import _exact, _quotient
 
 
 def entry_tables(cx: GradedComplex):
     """(out, inc): every entry of ``cx`` as {src: {tgt: (coeff, texp)}} and
-    {tgt: {src: (coeff, texp)}}, coefficients as exact ints where integral.
+    {tgt: {src: (coeff, texp)}}, sharing the complex's entry tuples.
 
     Raises ``KhleeError`` on an entry that breaks homogeneity.  Only the
     generators of ``cx.out`` and their outgoing entries are read.
@@ -62,16 +48,14 @@ def entry_tables(cx: GradedComplex):
     gen_h, gen_q = cx.gen_h, cx.gen_q
     out = {g: {} for g in cx.out}
     inc = {g: {} for g in cx.out}
-    shared = {}  # one tuple per distinct entry: most coefficients are +-1
     for src, row in cx.out.items():
         h1, q = gen_h[src] + 1, gen_q[src]
-        for tgt, (c, e) in row.items():
-            if tgt not in out or gen_h[tgt] != h1 or gen_q[tgt] != q + 4 * e:
+        for tgt, ent in row.items():
+            if tgt not in out or gen_h[tgt] != h1 or gen_q[tgt] != q + 4 * ent[1]:
                 raise KhleeError(
                     f"inhomogeneous entry {src}->{tgt}: (h, q) ({h1 - 1}, {q}) -> "
-                    f"({gen_h.get(tgt)}, {gen_q.get(tgt)}) with t^{e}")
-            ent = (_exact(c), e)
-            out[src][tgt] = inc[tgt][src] = shared.setdefault(ent, ent)
+                    f"({gen_h.get(tgt)}, {gen_q.get(tgt)}) with t^{ent[1]}")
+            out[src][tgt] = inc[tgt][src] = ent
     return out, inc
 
 
@@ -123,7 +107,7 @@ def eliminate(out, inc, k, vectors=(), pos=None, covectors=()):
                 for f, fac, _ge in outs:
                     s = v.get(f, 0) + vc * fac
                     if s:
-                        v[f] = s
+                        v[f] = s if type(s) is int else _exact(s)
                     else:
                         del v[f]
         # pullback on tracked covectors: w(e) -= d(e -> c0) / lam * w(b)
@@ -135,7 +119,7 @@ def eliminate(out, inc, k, vectors=(), pos=None, covectors=()):
                 for e, (ce, _be) in ins:
                     s = w.get(e, 0) + ce * fac
                     if s:
-                        w[e] = s
+                        w[e] = s if type(s) is int else _exact(s)
                     else:
                         del w[e]
         for g in (b, c0):
@@ -172,7 +156,7 @@ def scan_reduce(cx: GradedComplex, tracked=None, cotracked=None):
 
     ``tracked`` is a list of vectors {generator id: number}, the values of
     cycles at t = 1; copies are rewritten through each elimination's
-    retraction and come back as {generator id: Fraction}.  ``cotracked``
+    retraction and come back as {generator id: number}.  ``cotracked``
     does the same for covectors, the values of cocycles at t = 1 on the
     generators.  The positions of a cube (``cx.pos``) order the pivots as in
     ``eliminate``.  Returns the reduced complex, (reduced complex, tracked
@@ -193,7 +177,6 @@ def scan_reduce(cx: GradedComplex, tracked=None, cotracked=None):
             red.add_entry(src, tgt, c, e)
     if tracked is None and cotracked is None:
         return red
-    vectors = [{g: Fraction(c) for g, c in v.items()} for v in vectors]
     if cotracked is None:
         return red, vectors
-    return red, vectors, [{g: Fraction(c) for g, c in w.items()} for w in covectors]
+    return red, vectors, covectors

@@ -13,7 +13,7 @@ a dotted cap over a plain cup plus a plain cap over a dotted cup
 cobordisms", G&T 9, 2005, section 11.2).  So Hom(A, B) is free on disc
 patterns, one disc per boundary curve of A-bar B, dotted or not, as in
 Khovanov's arc algebra (M. Khovanov, "A functor-valued invariant of
-tangles", AGT 2, 2002).  A morphism is a dict {dot bitmask: coefficient};
+tangles", AGT 2, 2002).  A morphism is a dict {dot bitmask: number};
 its bits number the curves of A-bar B: A's circles, then B's, then the
 cycles through the boundary points by least point.  The identity of a
 circle-free object is mask 0, and so is a saddle.  Every map of the complex
@@ -67,13 +67,10 @@ from .complexes import GradedComplex
 from .cube import generator_limit
 from .diagrams import OrientedDiagram
 from .errors import KhleeError, ResourceLimit
-from .reduction import _exact, _quotient, scan_reduce
+from .linalg import _exact, _quotient
+from .reduction import scan_reduce
 from .smith import homology_qt
 
-# Morphism coefficients are Python ints wherever they are integral; only
-# ``_eliminate`` can divide by a non-unit.  ``GradedComplex.add_entry`` hands
-# out Fractions again, and ``scan_reduce`` does the same for the tracked
-# columns' values at t = 1.
 # Undotted discs on every curve: the identity of a circle-free object, a
 # saddle, and the second factor of a closure, which glues one morphism alone.
 _PLAIN = {0: 1}

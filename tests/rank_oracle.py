@@ -3,15 +3,42 @@ dimensions that ``GradedComplex`` and ``HomologySummary`` read off the
 elimination kernel's output; and the filtration level of a cycle solved on
 the unreduced complex, the oracle for the levels of the tracked reduction.
 
-The ranks come from ``khlee.linalg.rank_of_columns`` (an echelon form over
-Q), which shares no code with ``khlee.reduction.scan_reduce``.
+The ranks come from ``rank_over_q``, a fraction-free echelon over Z of its
+own, which shares no code with ``khlee.reduction`` or ``khlee.linalg``.
 """
 
-from fractions import Fraction
+import math
 
 from khlee.errors import NotACycle
 from khlee.lee import _level_solver
-from khlee.linalg import rank_of_columns
+
+
+def rank_over_q(cols) -> int:
+    """Rank over Q of integer columns {row: int}, by a fraction-free echelon
+    on the least row index; each reduced column is divided by the gcd of
+    its entries, which keeps them small."""
+    lead = {}
+    for col in cols:
+        assert all(c.denominator == 1 for c in col.values()), f"non-integral {col}"
+        vec = {r: int(c) for r, c in col.items() if c}
+        while vec:
+            i = min(vec)
+            piv = lead.get(i)
+            if piv is None:
+                lead[i] = vec
+                break
+            g = math.gcd(piv[i], vec[i])
+            a, b = piv[i] // g, vec[i] // g
+            # a vec - b piv clears row i
+            vec = {r: a * c for r, c in vec.items()}
+            for r, c in piv.items():
+                vec[r] = vec.get(r, 0) - b * c
+            vec = {r: c for r, c in vec.items() if c}
+            if vec:
+                g = math.gcd(*vec.values())
+                if g != 1:
+                    vec = {r: c // g for r, c in vec.items()}
+    return len(lead)
 
 
 def dims_t0_by_rank(cx) -> dict:
@@ -27,7 +54,7 @@ def dims_t0_by_rank(cx) -> dict:
             col = {idx[tgt]: c for tgt, (c, e) in cx.out[src].items() if e == 0}
             if col:
                 cols.append(col)
-        ranks[(h, q)] = rank_of_columns(cols)
+        ranks[(h, q)] = rank_over_q(cols)
     dims = {}
     for (h, q), gens in blocks.items():
         d = len(gens) - ranks[(h, q)] - ranks.get((h - 1, q), 0)
@@ -37,8 +64,9 @@ def dims_t0_by_rank(cx) -> dict:
 
 
 def dims_t_by_rank(cx, value) -> dict:
-    """{h: dim} at t = value, from the ranks of the full differential."""
-    v = Fraction(value)
+    """{h: dim} at t = value, an integer, from the ranks of the full
+    differential."""
+    assert type(value) is int
     by_h = {}
     for g, h in cx.gen_h.items():
         by_h.setdefault(h, []).append(g)
@@ -49,12 +77,12 @@ def dims_t_by_rank(cx, value) -> dict:
         for src in sorted(srcs):
             col = {}
             for tgt, (c, e) in cx.out[src].items():
-                cv = c * v**e
+                cv = c * value**e
                 if cv:
                     col[idx[tgt]] = cv
             if col:
                 cols.append(col)
-        ranks[h] = rank_of_columns(cols)
+        ranks[h] = rank_over_q(cols)
     dims = {}
     for h, gens in by_h.items():
         d = len(gens) - ranks[h] - ranks.get(h - 1, 0)
@@ -69,7 +97,7 @@ def filtration_level(filtered, zvec: dict, h: int = 0) -> int:
     boundary = {}
     for g, c in zvec.items():
         for tgt, v in filtered.out.get(g, {}).items():
-            boundary[tgt] = boundary.get(tgt, Fraction(0)) + c * v
+            boundary[tgt] = boundary.get(tgt, 0) + c * v
     if any(boundary.values()):
         raise NotACycle("the chain has nonzero differential at t=1")
     gens_h = filtered.gens_at(h)

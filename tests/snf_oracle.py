@@ -8,6 +8,7 @@ complex and shares no code with ``khlee.reduction``'s elimination kernel.
 """
 
 import heapq
+from fractions import Fraction
 
 
 class _SparseMat:
@@ -75,7 +76,7 @@ def module_by_snf(cx):
             row_snapshot = [(c, v) for c, v in m.rows[r0].items() if c != c0]
             # clear column c0: R_r -= (c1/lam) t^(e1-e0) R_r0
             for r, (c1, e1) in col_snapshot:
-                f, de = c1 / lam, e1 - e0
+                f, de = Fraction(c1) / lam, e1 - e0
                 for c2, (cc, ee) in list(m.rows.get(r0, {}).items()):
                     m.add(r, c2, -f * cc, ee + de)
                     heapq.heappush(heap, (ee + de, r, c2))
@@ -85,7 +86,7 @@ def module_by_snf(cx):
                     nxt.add(t2, r0, f * cc, ee + de)
             # clear row r0: C_c -= (c1/lam) t^(e1-e0) C_c0
             for c, (c1, e1) in row_snapshot:
-                f, de = c1 / lam, e1 - e0
+                f, de = Fraction(c1) / lam, e1 - e0
                 for r2, (cc, ee) in list(m.cols.get(c0, {}).items()):
                     m.add(r2, c, -f * cc, ee + de)
             if set(m.cols.get(c0, {})) != {r0} or set(m.rows.get(r0, {})) != {c0}:

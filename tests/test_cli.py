@@ -58,6 +58,23 @@ def test_lee_scan_output_digest(capsys):
     assert hashlib.md5(out.encode()).hexdigest() == "fc27edf44cd9f417b48cef3c9cd44c9f"
 
 
+def test_lee_scans_each_class_once(capsys, monkeypatch):
+    # lee prints no s_+, so it scans no mirror: one scan per orientation class
+    from khlee import lee
+
+    calls = []
+    scan_levels = lee.scan_levels
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return scan_levels(*args, **kwargs)
+
+    monkeypatch.setattr(lee, "scan_levels", counted)
+    code, out, _ = run(capsys, "lee", "--builtin", "F_2(2)", "--engine", "scan", "--no-meta")
+    assert code == 0
+    assert len(calls) == len(json.loads(out)["generator_filtration_levels"]) == 8
+
+
 def test_ssr_s_command(capsys):
     code, out, _ = run(capsys, "ssr-s", "--builtin", "Wh+", "--no-meta")
     data = json.loads(out)

@@ -8,7 +8,7 @@ from khlee.complexes import GradedComplex
 from khlee.corpus import builtin_diagram
 from khlee.cube import build_cube, specialize_t
 from khlee.diagrams import BraidWord, from_braid
-from khlee.errors import OrientationConflict, ResourceLimit
+from khlee.errors import OrientationConflict, ParseError, ResourceLimit
 from khlee.pdcode import parse_pd
 from khlee.smith import homology_qt
 
@@ -104,6 +104,30 @@ def test_export_roundtrip():
     assert homology_qt(back).dims_t1() == homology_qt(c.complex).dims_t1()
 
 
+_TEXT = "GEN 0 0 0\nGEN 1 0 1\nGEN 1 4 2\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("GEN 0 0\n", "line 1: expected 'GEN h q id'"),
+    (_TEXT + "DIF 0 0 1 x t^0\n", "line 4: .*'x'"),
+    (_TEXT + "DIF 0 0 1 1 t0\n", "line 4: expected"),
+    (_TEXT + "\nDIF 0 0 7 1 t^0\n", "line 5: generator 7 is not defined"),
+    (_TEXT + "DIF 1 0 1 1 t^0\n", "line 4: h 1 is not the h 0 of generator 0"),
+    ("FOO 1\n" + _TEXT, "line 1: expected"),
+    (_TEXT + "DIF 0 0 2 1 t^0\n", "line 4: inhomogeneous entry 0->2"),
+    (_TEXT + "GEN 0 0 1\n", "line 4: duplicate generator id 1"),
+    (_TEXT + "DIF 0 0 1 1 t^0\nDIF 0 0 1 1 t^0\n", "line 5: a second entry 0->1"),
+], ids=["short-gen", "bad-coefficient", "bad-power", "undefined-generator", "h-field",
+        "unknown-tag", "inhomogeneous", "duplicate-id", "duplicate-entry"])
+def test_from_text_names_the_bad_line(text, message):
+    with pytest.raises(ParseError, match=message):
+        GradedComplex.from_text(text)
+    # the same text without its bad line parses
+    lines = text.splitlines()
+    n = int(message.split(":")[0].split()[1])
+    GradedComplex.from_text("\n".join(lines[:n - 1] + lines[n:]))
+
+
 def test_resource_limit_message():
     with pytest.raises(ResourceLimit,
                        match=r"cube reached \d+ generators after \d+ of 8 resolutions, "
@@ -112,8 +136,9 @@ def test_resource_limit_message():
 
 
 def _cube_fields(c):
-    """gen_h, gen_q and pos by id, the entries sorted, and gen() on every
-    (choice, label mask) key of the cube."""
+    """gen_h, gen_q and pos by id, the entries sorted with each coefficient
+    as a Fraction (so the pins read values, not number types), and gen() on
+    every (choice, label mask) key of the cube."""
     cx, d = c.complex, c.diagram
     keys = []
     for r in sorted(set(cx.pos.values())):
@@ -122,7 +147,8 @@ def _cube_fields(c):
                  for m in range(1 << len(d.resolve(choice).circles))]
     assert len(keys) == cx.n_gens
     return (sorted(cx.gen_h.items()), sorted(cx.gen_q.items()), sorted(cx.pos.items()),
-            sorted((s, t, e) for s, row in cx.out.items() for t, e in row.items()), keys)
+            sorted((s, t, (F(co), e)) for s, row in cx.out.items() for t, (co, e) in row.items()),
+            keys)
 
 
 def _seeded_cube_diagrams(seed=15):

@@ -8,11 +8,12 @@ from khlee.corpus import random_braids, small_corpus, torus_word
 from khlee.cube import build_cube, specialize_t
 from khlee.diagrams import BraidWord, from_braid
 from khlee.errors import KhleeError
+from khlee.linalg import rank_of_columns
 from khlee.reduction import scan_reduce
 from khlee.smith import homology_qt
 from khlee.tlscan import scan_complex, scan_levels
 
-from rank_oracle import dims_t0_by_rank, dims_t_by_rank
+from rank_oracle import dims_t0_by_rank, dims_t_by_rank, rank_over_q
 
 
 def test_zero_differential_unchanged():
@@ -267,8 +268,36 @@ def test_non_dividing_pivot_stays_exact():
     assert cx.n_gens == 4  # the input is left alone
 
 
-def test_reduced_coefficients_are_fractions():
-    # no int or float may reach the Smith form, where int / int is a float
+def test_rank_of_columns_is_exact():
+    # the third column is 2 * first - second over Q; a float quotient left a
+    # residual of -1.8e-15 and counted it as independent
+    assert rank_of_columns([{0: -3, 1: 1}, {0: -5, 2: 5}, {0: 4, 1: 2, 2: -10}]) == 2
+    # an explicit zero entry is no pivot
+    assert rank_of_columns([{0: 0, 1: 1}, {0: 1}]) == 2
+    # seeded integer systems with dependent columns, against the oracle's
+    # fraction-free echelon
+    rng = random.Random(3)
+    for _ in range(300):
+        rows = rng.randint(1, 6)
+        base = [{r: rng.randint(-6, 6) for r in range(rows) if rng.random() < 0.6}
+                for _ in range(rng.randint(1, 4))]
+        cols = list(base)
+        for _ in range(rng.randint(1, 3)):
+            mult = [rng.randint(-3, 3) for _b in base]
+            cols.append({r: sum(m * b.get(r, 0) for m, b in zip(mult, base))
+                         for r in range(rows)})
+        rng.shuffle(cols)
+        assert rank_of_columns(cols) == rank_over_q(cols) <= len(base)
+
+
+def _exact_numbers(values):
+    # the one number form: an int where integral, a Fraction only where not
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for c in values)
+
+
+def test_coefficients_are_never_floats():
+    # the cube, the kernel's output and the tracked vectors stay exact
     from khlee.lee import lee_generator, lee_vector_in_cube
 
     for _name, d in small_corpus():
@@ -279,16 +308,15 @@ def test_reduced_coefficients_are_fractions():
             tracked = [lee_vector_in_cube(ch, cube) for ch in (chain, chain.conjugate())]
         red, vectors = scan_reduce(cube.complex, tracked=tracked)
         for v in vectors:
-            assert all(type(c) is Fraction for c in v.values())
-        reduced = [red] if d.braid is None else [red, scan_complex(d)]
+            assert _exact_numbers(v.values())
+        reduced = [cube.complex, red] + ([] if d.braid is None else [scan_complex(d)])
         for cx in reduced:
             for row in cx.out.values():
-                assert all(type(c) is Fraction for c, _e in row.values())
+                assert _exact_numbers(c for c, _e in row.values())
 
 
-def test_scan_tracked_vectors_are_fractions(monkeypatch):
-    # the scan engine computes with ints; its tracked Lee vectors must still
-    # reach the level solve as Fractions
+def test_scan_tracked_vectors_are_never_floats(monkeypatch):
+    # the scan engine's tracked Lee vectors reach the level solve exact
     from khlee import lee
 
     handed = []
@@ -305,4 +333,4 @@ def test_scan_tracked_vectors_are_fractions(monkeypatch):
     assert len(handed) >= len(braids)
     for vectors in handed:
         for v in vectors:
-            assert all(type(c) is Fraction for c in v.values())
+            assert _exact_numbers(v.values())

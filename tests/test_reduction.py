@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -334,3 +335,23 @@ def test_scan_tracked_vectors_are_never_floats(monkeypatch):
     for vectors in handed:
         for v in vectors:
             assert _exact_numbers(v.values())
+
+
+def test_complexes_and_modules_are_pinned():
+    # every entry the cube, the kernel and the scanner write, and every
+    # module and dimension read off them, on the named corpus: pinned by a
+    # digest of the text export, which spells each power of t out
+    from khlee.tlscan import scan_word
+
+    lines = []
+    for name, d in small_corpus():
+        cx = build_cube(d).complex
+        lines += [name, cx.export_text(), scan_reduce(cx).export_text(),
+                  repr(homology_qt(cx).to_dict()), repr(sorted(cx.dims_at_t0().items()))]
+        if d.braid is not None:
+            scanned = scan_complex(d)
+            lines += [scan_word(d).gc.export_text(), scanned.export_text(),
+                      repr(homology_qt(scanned).to_dict())]
+    assert len(lines) == 5 * 52 + 3 * sum(d.braid is not None for _n, d in small_corpus())
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        "4d484434f93716ea8ee6e770409cefc42733476c5d4c9a57686bc9e917931631"

@@ -1,8 +1,9 @@
 """Finite chain complexes of free Q[t]-modules with q-graded generators.
 
 Homogeneity makes every differential entry a monomial c*t^k with
-q(target) = q(source) + 4k, so entries are stored as (c, k) pairs, c in the
-one number form of ``linalg``: an int where integral, else a Fraction.
+q(target) = q(source) + 4k, so the q-degrees fix k and an entry is stored
+as its coefficient c alone, in the one number form of ``linalg``: an int
+where integral, else a Fraction.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ class GradedComplex:
     def __init__(self):
         self.gen_h = {}  # gen id -> h
         self.gen_q = {}  # gen id -> q
-        self.out = {}  # src -> {tgt: (coeff, texp)}
+        self.out = {}  # src -> {tgt: coeff}, of power (q(tgt) - q(src)) // 4
         self._next = 0
         self.pos = None  # gen id -> resolution bitmask, on a cube (build_cube)
 
@@ -38,13 +39,7 @@ class GradedComplex:
 
     def add_entry(self, src: int, tgt: int, coeff, texp: int) -> None:
         c = coeff if type(coeff) is int else _exact(Fraction(coeff))
-        old = self.out[src].get(tgt)
-        if old is not None:
-            if old[1] != texp and old[0] and c:
-                raise KhleeError("non-monomial entry would violate homogeneity")
-            c = _exact(c + old[0])
         if c == 0:
-            self.out[src].pop(tgt, None)
             return
         if self.gen_h[tgt] != self.gen_h[src] + 1:
             raise KhleeError("differential must raise h by one")
@@ -54,7 +49,11 @@ class GradedComplex:
             raise KhleeError(
                 f"inhomogeneous entry {src}->{tgt}: q {self.gen_q[src]} -> "
                 f"{self.gen_q[tgt]} with t^{texp}")
-        self.out[src][tgt] = (c, texp)
+        c = _exact(c + self.out[src].get(tgt, 0))
+        if c:
+            self.out[src][tgt] = c
+        else:
+            del self.out[src][tgt]
 
     # -- views ------------------------------------------------------------------
 
@@ -73,12 +72,12 @@ class GradedComplex:
     def check_d_squared(self) -> None:
         for src, row in self.out.items():
             acc = {}
-            for mid, (c1, e1) in row.items():
-                for tgt, (c2, e2) in self.out[mid].items():
-                    key = (tgt, e1 + e2)
-                    acc[key] = acc.get(key, 0) + c1 * c2
-            for (tgt, e), total in acc.items():
+            for mid, c1 in row.items():
+                for tgt, c2 in self.out[mid].items():
+                    acc[tgt] = acc.get(tgt, 0) + c1 * c2
+            for tgt, total in acc.items():
                 if total != 0:
+                    e = (self.gen_q[tgt] - self.gen_q[src]) // 4
                     raise KhleeError(f"d^2 != 0 at {src} -> {tgt} (t^{e}: {total})")
 
     # -- specializations -----------------------------------------------------------
@@ -86,25 +85,21 @@ class GradedComplex:
     def dims_at_t0(self) -> dict:
         """Khovanov specialization: {(h, q): dim} over Q at t = 0.
 
-        The t^0 part of the differential is the Khovanov complex, and it
-        keeps q, so each q is reduced on its own.  Once ``scan_reduce`` has
-        eliminated every entry of it, the differential is zero, so the
-        dimensions are the surviving generator counts.
+        The t^0 part of the differential (the entries of equal q) is the
+        Khovanov complex, reduced at once with any entry that no power of t
+        fits, for ``scan_reduce`` to refuse.  It ends with no entry left, so
+        the dimensions are the surviving generator counts.
         """
         from .reduction import scan_reduce
 
-        by_q = {}
-        for g, q in self.gen_q.items():
-            by_q.setdefault(q, []).append(g)
+        gq = self.gen_q
+        t0 = GradedComplex()
+        t0.gen_h, t0.gen_q, t0.pos = self.gen_h, gq, self.pos
+        t0.out = {g: {t: c for t, c in row.items() if (gap := gq[t] - gq[g]) <= 0 or gap % 4}
+                  for g, row in self.out.items()}
         dims = {}
-        for q, gens in by_q.items():
-            t0 = GradedComplex()
-            t0.gen_h = {g: self.gen_h[g] for g in gens}
-            t0.gen_q = dict.fromkeys(gens, q)
-            t0.out = {g: {t: ce for t, ce in self.out[g].items() if ce[1] == 0} for g in gens}
-            t0.pos = self.pos
-            for h in scan_reduce(t0).gen_h.values():
-                dims[(h, q)] = dims.get((h, q), 0) + 1
+        for g, h in scan_reduce(t0).gen_h.items():
+            dims[(h, gq[g])] = dims.get((h, gq[g]), 0) + 1
         return dims
 
     # -- text export (External Interfaces) -----------------------------------------
@@ -115,8 +110,8 @@ class GradedComplex:
             lines.append(f"GEN {self.gen_h[g]} {self.gen_q[g]} {g}")
         for src in self.gens():
             for tgt in sorted(self.out[src]):
-                c, e = self.out[src][tgt]
-                lines.append(f"DIF {self.gen_h[src]} {src} {tgt} {c} t^{e}")
+                e = (self.gen_q[tgt] - self.gen_q[src]) // 4
+                lines.append(f"DIF {self.gen_h[src]} {src} {tgt} {self.out[src][tgt]} t^{e}")
         return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod

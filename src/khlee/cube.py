@@ -49,13 +49,13 @@ class CubeComplex:
         return self.first[sum(b << i for i, b in enumerate(choice))] + label_mask
 
 
-# The signed saddle maps, one entry tuple each for the whole program:
+# The signed saddle maps, each entry its coefficient (q fixes its power of t):
 # {(sign, circles in, circles out): {input labels: [(entry, output labels)]}}
 _SADDLES = {
-    (s, 2, 1): {ab: [((s * c, te), (lab,)) for c, te, lab in terms]
+    (s, 2, 1): {ab: [(s * c, (lab,)) for c, _te, lab in terms]
                 for ab, terms in FrobeniusData.mul.items()} for s in (1, -1)
 } | {
-    (s, 1, 2): {(a,): [((s * c, te), labs) for c, te, labs in terms]
+    (s, 1, 2): {(a,): [(s * c, labs) for c, _te, labs in terms]
                 for a, terms in FrobeniusData.comul.items()} for s in (1, -1)
 }
 
@@ -150,8 +150,8 @@ def specialize_t(cx: GradedComplex, value) -> FilteredComplex:
     out = {}
     for src, row in cx.out.items():
         newrow = {}
-        for tgt, (c, e) in row.items():
-            cv = c * v**e
+        for tgt, c in row.items():
+            cv = c * v ** ((cx.gen_q[tgt] - cx.gen_q[src]) // 4)
             if cv:
                 newrow[tgt] = cv
         out[src] = newrow

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cube import CubeComplex, build_cube, specialize_t
+from .cube import CubeComplex, build_cube
 from .diagrams import OrientedDiagram
 from .errors import InconsistentModule, KhleeError, NotACycle, ResourceLimit
 from .frobenius import FrobeniusData
@@ -233,19 +233,19 @@ def _reduced_levels_from_tracked(red, vo, vbar, dual=False):
     """The four levels, on a reduced complex with the tracked Lee vectors
     ({generator: number}, their values at t = 1).  With ``dual`` they are
     covectors, and the levels are those of the dual complex: q negated, and
-    its boundaries at h = 0 the rows of d: h0 -> h1."""
-    filt = specialize_t(red, 1)
-    gens_h0 = [g for g, hh in filt.gen_h.items() if hh == 0]
+    its boundaries at h = 0 the rows of d: h0 -> h1.  At t = 1 every entry
+    of ``red`` is its coefficient, so the solve reads ``red.out`` as it is."""
+    gens_h0 = [g for g, hh in red.gen_h.items() if hh == 0]
     if dual:
-        gen_q = {g: -q for g, q in filt.gen_q.items()}
+        gen_q = {g: -q for g, q in red.gen_q.items()}
         rows = {}
         for src in gens_h0:
-            for tgt, c in filt.out[src].items():
+            for tgt, c in red.out[src].items():
                 rows.setdefault(tgt, {})[src] = c
         cols = [rows[tgt] for tgt in sorted(rows)]
     else:
-        gen_q = filt.gen_q
-        cols = [dict(filt.out[src]) for src in filt.gens_at(-1) if filt.out[src]]
+        gen_q = red.gen_q
+        cols = [red.out[src] for src in red.gens_at(-1) if red.out[src]]
     solver = _level_solver(gen_q, gens_h0, cols)
     plus = {g: vo.get(g, 0) + vbar.get(g, 0) for g in set(vo) | set(vbar)}
     minus = {g: vo.get(g, 0) - vbar.get(g, 0) for g in set(vo) | set(vbar)}

@@ -1,8 +1,9 @@
 """Gaussian elimination over Q[t]: the one elimination kernel.
 
-Every differential entry of a homogeneous complex is a monomial c*t^k.
-``eliminate(out, inc, k)`` clears the entries of exponent k once none of
-lower exponent is left, so its pivot divides its whole row and column.
+Every differential entry of a homogeneous complex is a monomial c*t^k,
+k = (q(target) - q(source)) / 4.  ``eliminate(out, inc, k, gen_q)`` clears
+the entries of exponent k once none of lower exponent is left, so its pivot
+divides its whole row and column.
 
 - At k = 0 the pivots are units (nonzero rationals), and each elimination
   is a chain-homotopy equivalence (D. Bar-Natan, "Fast Khovanov homology
@@ -23,10 +24,11 @@ lower exponent is left, so its pivot divides its whole row and column.
   summand per pivot; ``smith._graded_snf`` runs the passes k = 1, 2, ...
   on what ``scan_reduce`` leaves and reads off the graded Smith form.
 
-The elimination runs on plain dictionaries in the program's one number
-form (``linalg``): an ``int`` where integral, a ``Fraction`` only where a
-pivot does not divide.  ``scan_reduce`` builds its result once through
-``GradedComplex.add_entry`` and hands out the tracked vectors as they are.
+The elimination runs on the complex's own table format, {src: {tgt:
+coeff}} with each power of t read off the q-degrees, in the program's one
+number form (``linalg``): an ``int`` where integral, a ``Fraction`` only
+where a pivot does not divide.  ``scan_reduce`` hands its tables over as
+the reduced complex, and the tracked vectors as they are.
 """
 
 from __future__ import annotations
@@ -39,29 +41,28 @@ from .linalg import _exact, _quotient
 
 
 def entry_tables(cx: GradedComplex):
-    """(out, inc): every entry of ``cx`` as {src: {tgt: (coeff, texp)}} and
-    {tgt: {src: (coeff, texp)}}, sharing the complex's entry tuples.
-
-    Raises ``KhleeError`` on an entry that breaks homogeneity.  Only the
-    generators of ``cx.out`` and their outgoing entries are read.
+    """(out, inc): copies of ``cx.out`` ({src: {tgt: coeff}}) and its
+    transpose.  The check for builders that write ``cx.out`` directly:
+    raises ``KhleeError`` on an entry that does not raise h by one, or
+    whose q gap is negative or not a multiple of 4.
     """
     gen_h, gen_q = cx.gen_h, cx.gen_q
-    out = {g: {} for g in cx.out}
-    inc = {g: {} for g in cx.out}
-    for src, row in cx.out.items():
+    out = {g: dict(row) for g, row in cx.out.items()}
+    inc = {g: {} for g in out}
+    for src, row in out.items():
         h1, q = gen_h[src] + 1, gen_q[src]
-        for tgt, ent in row.items():
-            if tgt not in out or gen_h[tgt] != h1 or gen_q[tgt] != q + 4 * ent[1]:
+        for tgt, c in row.items():
+            if tgt not in inc or gen_h[tgt] != h1 or gen_q[tgt] < q or (gen_q[tgt] - q) % 4:
                 raise KhleeError(
                     f"inhomogeneous entry {src}->{tgt}: (h, q) ({h1 - 1}, {q}) -> "
-                    f"({gen_h.get(tgt)}, {gen_q.get(tgt)}) with t^{ent[1]}")
-            out[src][tgt] = inc[tgt][src] = ent
+                    f"({gen_h.get(tgt)}, {gen_q.get(tgt)})")
+            inc[tgt][src] = c
     return out, inc
 
 
-def eliminate(out, inc, k, vectors=(), pos=None, covectors=()):
+def eliminate(out, inc, k, gen_q, vectors=(), pos=None, covectors=()):
     """Eliminate every c*t^k entry of the tables, which hold none of lower
-    exponent.
+    exponent: the entries whose q gap, by ``gen_q``, is 4k.
 
     A pivot b -> c0 divides its whole row and column.  Clearing them changes
     each entry e -> f by -d(e->c0) d(b->f) / d(b->c0), of exponent at least
@@ -77,10 +78,12 @@ def eliminate(out, inc, k, vectors=(), pos=None, covectors=()):
     ``pos`` ({generator: int}), when given, puts the bit length of
     pos[b] ^ pos[c0] in front of the Markowitz count in the pivot key.
     """
+    kq = 4 * k
     heap = []
     for src, row in out.items():
-        for tgt, (_c, e) in row.items():
-            if e == k:
+        q = gen_q[src] + kq
+        for tgt in row:
+            if gen_q[tgt] == q:
                 rank = (pos[src] ^ pos[tgt]).bit_length() if pos else 0
                 heap.append((rank, len(row) * len(inc[tgt]), src, tgt))
     heapq.heapify(heap)
@@ -89,14 +92,12 @@ def eliminate(out, inc, k, vectors=(), pos=None, covectors=()):
     while heap:
         _, _, b, c0 = heapq.heappop(heap)
         row_b = out.get(b)
-        entry = row_b.get(c0) if row_b is not None else None
-        if entry is None or entry[1] != k:
-            continue
-        lam = entry[0]
-        # d(b) = lam t^k c0 + sum gamma_f t^ge f; each f gets the factor
-        # -(gamma_f / lam) t^(ge - k)
-        outs = [(f, _quotient(-gc, lam), ge - k) for f, (gc, ge) in row_b.items()
-                if f != c0]
+        if row_b is None or c0 not in row_b:
+            continue  # eliminated already
+        lam = row_b[c0]
+        # d(b) = lam t^k c0 + sum gamma_f f; each f gets the factor -gamma_f / lam,
+        # of power (q(f) - q(c0)) // 4
+        outs = [(f, _quotient(-gc, lam), gen_q[f]) for f, gc in row_b.items() if f != c0]
         ins = [(e, ce) for e, ce in inc[c0].items() if e != b]
         # retraction on tracked vectors: r(b) = 0, r(c0) = sum of the factors' f,
         # each t-power 1 at t = 1
@@ -104,7 +105,7 @@ def eliminate(out, inc, k, vectors=(), pos=None, covectors=()):
             vc = v.pop(c0, None)
             v.pop(b, None)
             if vc:
-                for f, fac, _ge in outs:
+                for f, fac, _qf in outs:
                     s = v.get(f, 0) + vc * fac
                     if s:
                         v[f] = s if type(s) is int else _exact(s)
@@ -116,7 +117,7 @@ def eliminate(out, inc, k, vectors=(), pos=None, covectors=()):
             w.pop(c0, None)
             if wb:
                 fac = _quotient(-wb, lam)
-                for e, (ce, _be) in ins:
+                for e, ce in ins:
                     s = w.get(e, 0) + ce * fac
                     if s:
                         w[e] = s if type(s) is int else _exact(s)
@@ -127,24 +128,22 @@ def eliminate(out, inc, k, vectors=(), pos=None, covectors=()):
                 del inc[tgt][g]
             for src in inc.pop(g):
                 del out[src][g]
-        for e, (bc, be) in ins:
+        for e, bc in ins:
             row_e = out[e]
-            for f, fac, ge in outs:
-                texp = be + ge
+            q = gen_q[e] + kq
+            for f, fac, qf in outs:
                 coeff = bc * fac
                 old = row_e.get(f)
                 if old is not None:
-                    if old[1] != texp:
-                        raise KhleeError("non-monomial entry would violate homogeneity")
-                    coeff = old[0] + coeff
+                    coeff = old + coeff
                     if not coeff:
                         del row_e[f]
                         del inc[f][e]
                         continue
                 if type(coeff) is not int:
                     coeff = _exact(coeff)
-                row_e[f] = inc[f][e] = (coeff, texp)
-                if texp == k:
+                row_e[f] = inc[f][e] = coeff
+                if qf == q:
                     rank = (pos[e] ^ pos[f]).bit_length() if pos else 0
                     heapq.heappush(heap, (rank, len(row_e) * len(inc[f]), e, f))
         pairs.append((b, c0))
@@ -167,14 +166,12 @@ def scan_reduce(cx: GradedComplex, tracked=None, cotracked=None):
     out, inc = entry_tables(cx)
     vectors = [dict(v) for v in tracked] if tracked else []
     covectors = [dict(w) for w in cotracked] if cotracked else []
-    eliminate(out, inc, 0, vectors, cx.pos, covectors)
+    eliminate(out, inc, 0, cx.gen_q, vectors, cx.pos, covectors)
 
     red = GradedComplex()
     for g in out:
         red.add_gen(cx.gen_h[g], cx.gen_q[g], gid=g)
-    for src, row in out.items():
-        for tgt, (c, e) in row.items():
-            red.add_entry(src, tgt, c, e)
+    red.out = out
     if tracked is None and cotracked is None:
         return red
     if cotracked is None:

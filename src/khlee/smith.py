@@ -62,10 +62,11 @@ def _graded_snf(cx: GradedComplex) -> HomologySummary:
     except KhleeError as e:
         raise InconsistentModule(f"not a chain complex: {e}") from None
     out, inc = entry_tables(cx)
+    gen_q = cx.gen_q
     torsion = []
     while any(out.values()):
-        k = min(e for row in out.values() for _c, e in row.values())
-        pairs = eliminate(out, inc, k)
+        k = min(gen_q[t] - gen_q[s] for s, row in out.items() for t in row) // 4
+        pairs = eliminate(out, inc, k, gen_q)
         if k:
             torsion += [(cx.gen_h[c0], cx.gen_q[c0], k) for _b, c0 in pairs]
     free = [(cx.gen_h[g], cx.gen_q[g]) for g in out]

@@ -19,7 +19,8 @@ cycles through the boundary points by least point.  The identity of a
 circle-free object is mask 0, and so is a saddle.  Every map of the complex
 is q-homogeneous, and a disc pattern has degree #curves - n - 2 #dots, so
 the degrees fix each mask's power of t (of degree -4): a morphism keeps
-only the coefficient, and the closure writes the power into each entry.
+only the coefficient, and so does each entry of the closed complex, as
+every ``GradedComplex`` does.
 
 Gluing the discs of two morphisms gives a surface whose shape depends only
 on the objects.  ``compose``, ``stack`` and ``close_morphism`` build it once
@@ -741,12 +742,12 @@ def _tensor_letter(cx: ScanComplex, tracked: TrackedColumn, letter_objects, sadd
 def _close_and_reduce(cx: ScanComplex, tracked: TrackedColumn):
     """Trace closure and full delooping: an object with k circles (its own
     and those of the closure) gives 2^k generators, one per labelling of
-    the circles by 1 and x.  Each entry takes the power of t that the q
-    of its ends fixes; ``add_entry`` refuses a q gap that is negative or
-    not a multiple of 4.  The closure joins slot (0, c) to slot (rows, c),
-    so each closure circle of the tracked source must carry one sign."""
+    the circles by 1 and x.  Each disc pattern is one nonzero entry of its
+    own, written exact into ``gc.out`` as ``build_cube`` does, and
+    ``reduction.entry_tables`` checks its q gap.  The closure joins slot
+    (0, c) to slot (rows, c), so each closure circle of the tracked source
+    must carry one sign."""
     gc = GradedComplex()
-    gen_q = gc.gen_q
     width = {}
     gen_of = {}
     for uid in sorted(cx.obj):
@@ -758,8 +759,7 @@ def _close_and_reduce(cx: ScanComplex, tracked: TrackedColumn):
         for tgt, fm in cx.out[src].items():
             closed = close_morphism(fm, cx.obj[src], cx.obj[tgt])
             for ms, mt, c in _closed_entries(closed, width[src]):
-                gs, gt = gen_of[(src, ms)], gen_of[(tgt, mt)]
-                gc.add_entry(gs, gt, c, (gen_q[gt] - gen_q[gs]) // 4)
+                gc.out[gen_of[(src, ms)]][gen_of[(tgt, mt)]] = _exact(c)
 
     src_maps = [{uid: close_morphism(fm, tracked.source, cx.obj[uid]) for uid, fm in maps.items()}
                 for maps in tracked.maps]

@@ -51,7 +51,7 @@ def dims_t0_by_rank(cx) -> dict:
         idx = {g: i for i, g in enumerate(sorted(blocks.get((h + 1, q), [])))}
         cols = []
         for src in sorted(srcs):
-            col = {idx[tgt]: c for tgt, (c, e) in cx.out[src].items() if e == 0}
+            col = {idx[tgt]: c for tgt, c in cx.out[src].items() if cx.gen_q[tgt] == q}
             if col:
                 cols.append(col)
         ranks[(h, q)] = rank_over_q(cols)
@@ -76,8 +76,8 @@ def dims_t_by_rank(cx, value) -> dict:
         cols = []
         for src in sorted(srcs):
             col = {}
-            for tgt, (c, e) in cx.out[src].items():
-                cv = c * value**e
+            for tgt, c in cx.out[src].items():
+                cv = c * value ** ((cx.gen_q[tgt] - cx.gen_q[src]) // 4)
                 if cv:
                     col[idx[tgt]] = cv
             if col:

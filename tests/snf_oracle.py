@@ -48,8 +48,8 @@ def module_by_snf(cx):
     for h in range(hmin, hmax + 1):
         m = _SparseMat()
         for src in cx.gens_at(h):
-            for tgt, (c, e) in cx.out[src].items():
-                m.set(tgt, src, c, e)
+            for tgt, c in cx.out[src].items():
+                m.set(tgt, src, c, (cx.gen_q[tgt] - cx.gen_q[src]) // 4)
         mats[h] = m
 
     free = []

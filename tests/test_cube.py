@@ -65,8 +65,10 @@ def test_homogeneity_enforced():
     c = cube_of(2, (1, 1))
     cx = c.complex
     for src, row in cx.out.items():
-        for tgt, (coeff, e) in row.items():
-            assert cx.gen_q[tgt] == cx.gen_q[src] + 4 * e
+        for tgt, coeff in row.items():
+            # a power of t fits each entry: its q gap is 4k, k >= 0
+            gap = cx.gen_q[tgt] - cx.gen_q[src]
+            assert coeff and gap >= 0 and gap % 4 == 0
             assert cx.gen_h[tgt] == cx.gen_h[src] + 1
 
 
@@ -90,7 +92,8 @@ def test_specialize_t():
     c = cube_of(2, (1, 1, 1))
     f1 = specialize_t(c.complex, 1)
     # entries with positive t powers survive at t=1
-    some_t = any(e > 0 for row in c.complex.out.values() for _c, e in row.values())
+    q = c.complex.gen_q
+    some_t = any(q[t] > q[s] for s, row in c.complex.out.items() for t in row)
     assert some_t
     assert any(f1.out[src] for src in f1.gen_h)
 
@@ -136,9 +139,9 @@ def test_resource_limit_message():
 
 
 def _cube_fields(c):
-    """gen_h, gen_q and pos by id, the entries sorted with each coefficient
-    as a Fraction (so the pins read values, not number types), and gen() on
-    every (choice, label mask) key of the cube."""
+    """gen_h, gen_q and pos by id, the entries sorted as (coefficient as a
+    Fraction, so the pins read values and not number types, power of t off
+    the q gap), and gen() on every (choice, label mask) key of the cube."""
     cx, d = c.complex, c.diagram
     keys = []
     for r in sorted(set(cx.pos.values())):
@@ -147,7 +150,8 @@ def _cube_fields(c):
                  for m in range(1 << len(d.resolve(choice).circles))]
     assert len(keys) == cx.n_gens
     return (sorted(cx.gen_h.items()), sorted(cx.gen_q.items()), sorted(cx.pos.items()),
-            sorted((s, t, (F(co), e)) for s, row in cx.out.items() for t, (co, e) in row.items()),
+            sorted((s, t, (F(co), (cx.gen_q[t] - cx.gen_q[s]) // 4))
+                   for s, row in cx.out.items() for t, co in row.items()),
             keys)
 
 

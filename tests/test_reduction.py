@@ -44,8 +44,9 @@ def test_no_unit_entries_left_and_equivalence():
         red = scan_reduce(c)
         red.check_d_squared()
         for src, row in red.out.items():
-            for tgt, (coeff, e) in row.items():
-                assert e >= 1, "an invertible entry survived the reduction"
+            for tgt in row:
+                assert red.gen_q[tgt] > red.gen_q[src], \
+                    "an invertible entry survived the reduction"
         assert red.dims_at_t0() == dims_t0_by_rank(c)
         assert homology_qt(red).dims_t1() == dims_t_by_rank(c, 1)
 
@@ -225,30 +226,61 @@ def test_dims_match_rank_oracle():
         assert homology_qt(c).dims_t1() == dims_t_by_rank(c, 1)
 
 
-def _plain(cx, src, tgt, coeff, texp):
-    """Set an entry straight into the dictionaries, past add_entry."""
-    cx.out[src][tgt] = (Fraction(coeff), texp)
-
-
 def test_inhomogeneous_entry_raises():
-    c = build_cube(from_braid(BraidWord(2, (1, 1, 1)))).complex
-    src = c.gens_at(0)[0]
-    tgt = next(g for g in c.gens_at(1) if c.gen_q[g] != c.gen_q[src])
-    _plain(c, src, tgt, 1, 0)
-    with pytest.raises(KhleeError, match="inhomogeneous"):
-        scan_reduce(c)
-    with pytest.raises(KhleeError, match="inhomogeneous"):
-        c.dims_at_t0()  # the entry leaves its q slice
+    # an entry set straight into the table, whose q gap is negative or not a
+    # multiple of 4, so that no power of t fits it; add_entry refuses it too
+    readers = (scan_reduce, homology_qt, GradedComplex.dims_at_t0)
+    for gap in (-4, -2, -1, 2, 6):
+        cx = GradedComplex()
+        a, b = cx.add_gen(0, 0), cx.add_gen(1, gap)
+        for texp in (0, 1, 2):
+            with pytest.raises(KhleeError, match="inhomogeneous"):
+                cx.add_entry(a, b, 1, texp)
+        assert cx.out[a] == {}
+        cx.out[a][b] = 1
+        # the same entry on a cube, next to the cube's own
+        c = build_cube(from_braid(BraidWord(2, (1, 1, 1)))).complex
+        src = c.gens_at(0)[0]
+        c.out[src][c.add_gen(1, c.gen_q[src] + gap)] = 1
+        for complex_, reader in [(x, r) for x in (cx, c) for r in readers]:
+            with pytest.raises(KhleeError, match="inhomogeneous"):
+                reader(complex_)
+
+
+def test_entry_that_does_not_raise_h_by_one_raises():
     cx = GradedComplex()
     a, b = cx.add_gen(0, 0), cx.add_gen(2, 0)
-    _plain(cx, a, b, 1, 0)  # raises h by two
-    with pytest.raises(KhleeError, match="inhomogeneous"):
-        scan_reduce(cx)
+    with pytest.raises(KhleeError, match="raise h by one"):
+        cx.add_entry(a, b, 1, 0)
+    cx.out[a][b] = 1
+    for reader in (scan_reduce, homology_qt, GradedComplex.dims_at_t0):
+        with pytest.raises(KhleeError, match="inhomogeneous"):
+            reader(cx)
     # add_entry refuses a negative power of t, even one that q would fit
     cx = GradedComplex()
     a, b = cx.add_gen(0, 4), cx.add_gen(1, 0)
     with pytest.raises(KhleeError, match="negative power"):
         cx.add_entry(a, b, 1, -1)
+
+
+def test_scan_closure_entries_are_checked(monkeypatch):
+    # the closure writes its entries straight into its complex; one whose
+    # target label is swapped on the first circle moves q by 2, and the
+    # reduction refuses it
+    from khlee import tlscan
+
+    closed_entries = tlscan._closed_entries
+
+    def off_by_a_label(closed, k):
+        return [(ms, mt ^ 1, c) for ms, mt, c in closed_entries(closed, k)]
+
+    monkeypatch.setattr(tlscan, "_closed_entries", off_by_a_label)
+    d = from_braid(BraidWord(2, (1, 1, 1)))
+    gc = tlscan.scan_word(d).gc
+    with pytest.raises(KhleeError, match="inhomogeneous"):
+        scan_reduce(gc)
+    with pytest.raises(KhleeError, match="inhomogeneous"):
+        scan_complex(d)
 
 
 def test_non_dividing_pivot_stays_exact():
@@ -262,8 +294,9 @@ def test_non_dividing_pivot_stays_exact():
     cx.add_entry(e, c0, 1, 1)
     red, (v,) = scan_reduce(cx, tracked=[{c0: 1}])
     assert red.gens() == [f, e]
-    assert red.out[e] == {f: (Fraction(-1, 2), 2)}
-    assert type(red.out[e][f][0]) is Fraction
+    assert red.out[e] == {f: Fraction(-1, 2)}
+    assert red.gen_q[f] - red.gen_q[e] == 4 * 2
+    assert type(red.out[e][f]) is Fraction
     assert v == {f: Fraction(-1, 2)}
     assert type(v[f]) is Fraction
     assert cx.n_gens == 4  # the input is left alone
@@ -313,7 +346,7 @@ def test_coefficients_are_never_floats():
         reduced = [cube.complex, red] + ([] if d.braid is None else [scan_complex(d)])
         for cx in reduced:
             for row in cx.out.values():
-                assert _exact_numbers(c for c, _e in row.values())
+                assert _exact_numbers(row.values())
 
 
 def test_scan_tracked_vectors_are_never_floats(monkeypatch):

@@ -141,8 +141,13 @@ def test_snf_refuses_a_non_complex():
 
 
 def test_snf_refuses_an_inhomogeneous_entry():
-    cx = _two_term([0], [4], {(0, 0): 1})
-    src, tgt = 0, 1
-    cx.out[src][tgt] = (1, 0)  # q jumps by 4 with t^0
-    with pytest.raises(KhleeError, match="inhomogeneous entry"):
-        _graded_snf(cx)
+    # an entry set past add_entry across a q gap that no power of t fits
+    for gap in (-4, -2, 1, 6):
+        cx = _two_term([0], [gap], {})
+        cx.out[0][1] = 1
+        with pytest.raises(KhleeError, match="inhomogeneous entry"):
+            _graded_snf(cx)
+    # across a q gap of 4 the same entry is t
+    cx = _two_term([0], [4], {})
+    cx.out[0][1] = 1
+    assert (_graded_snf(cx).free, _graded_snf(cx).torsion) == ([], [(1, 4, 1)])

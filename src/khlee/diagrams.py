@@ -26,8 +26,9 @@ from .errors import BadComponent, NonPlanar, OrientationConflict, ParseError
 
 
 def _normalize_letter(x, n: int):
-    """Accept ints (sigma_i), ("e", i) pairs, or "e<i>" strings."""
-    if isinstance(x, int):
+    """Accept ints (sigma_i), ("e", i) pairs, or "e<i>" strings; a bool is
+    not an int here."""
+    if type(x) is int:
         if x == 0 or abs(x) >= n:
             raise ParseError(f"braid letter {x} out of range for {n} strands")
         return x
@@ -37,7 +38,7 @@ def _normalize_letter(x, n: int):
         except ValueError:
             raise ParseError(f"bad braid letter {x!r}")
         return _normalize_letter(("e", i), n)
-    if isinstance(x, (tuple, list)) and len(x) == 2 and x[0] == "e" and isinstance(x[1], int):
+    if isinstance(x, (tuple, list)) and len(x) == 2 and x[0] == "e" and type(x[1]) is int:
         if not 1 <= x[1] <= n - 1:
             raise ParseError(f"turnback letter e{x[1]} out of range for {n} strands")
         return ("e", x[1])

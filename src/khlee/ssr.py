@@ -57,7 +57,7 @@ class SsrDiagram:
         norm = []
         for h in self.handles:
             if not (isinstance(h, (tuple, list)) and len(h) in (2, 3)
-                    and all(isinstance(v, int) for v in h)):
+                    and all(type(v) is int for v in h)):
                 raise ParseError(f"handle {h!r} must be [a, b, pos] with integer entries")
             a, b, pos = (*h, 0) if len(h) == 2 else h
             if not (1 <= a <= n and 0 <= b <= n and b >= a - 1):
@@ -209,7 +209,13 @@ def stabilization_check(s: SsrDiagram, k_max: int, engine: str = "auto",
 
 def bennequin_report(b: BraidWord, engine: str = "auto", limit=None) -> dict:
     """Self-linking number of the braid closure against the slice-Bennequin
-    bound sl + 1 <= s_+."""
+    bound sl + 1 <= s_+.  sl = wr - strands holds for a braid closure only,
+    so a word with a turnback letter or a downward strand is refused."""
+    reason = ("a turnback letter" if len(b.sigma_letters) < len(b.letters) else
+              "a downward strand" if not all(b.orientation) else None)
+    if reason:
+        raise KhleeError(f"the word has {reason}, so its closure is not a braid "
+                         f"closure and sl is not wr - strands")
     sl = b.writhe_all_up() - b.strands
     d = from_braid(b)
     rep = s_invariant(d.mirror(), engine=engine, limit=limit,

@@ -153,6 +153,20 @@ def test_malformed_input_is_a_parse_error(capsys, argv, message):
     assert message in data["message"]
 
 
+def test_ssr_json_booleans_are_not_integers(capsys):
+    # JSON true is no braid letter and no handle entry: read as the integer
+    # 1, these gave reports for sigma1 sigma2 e1 and for an empty handle
+    for ssr, message in [
+        ('{"strands": 3, "orient": "udu", "braid": [true, 2, "e1"], "handles": [[2, 3, 0]]}',
+         "bad braid letter True"),
+        ('{"strands": 3, "orient": "udu", "braid": [1, 2, "e1"], "handles": [[2, true, 0]]}',
+         "handle [2, True, 0] must be [a, b, pos] with integer entries"),
+    ]:
+        code, out, err = run(capsys, "ssr-s", "--ssr", ssr, "--no-meta")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "ParseError", "message": message}
+
+
 def test_malformed_limit_environment_is_a_parse_error(capsys, monkeypatch):
     monkeypatch.setenv("KHLEE_LIMIT", "abc")
     code, out, err = run(capsys, "s", "--builtin", "trefoil+", "--no-meta")

@@ -3,7 +3,7 @@ import pytest
 from khlee.corpus import builtin_ssr
 from khlee.cube import build_cube
 from khlee.diagrams import BraidWord, from_braid
-from khlee.errors import NotNullHomologous, NotPositive, ParseError
+from khlee.errors import KhleeError, NotNullHomologous, NotPositive, ParseError
 from khlee.ssr import (SsrDiagram, approx_threshold, bennequin_report, eta,
                        full_twist, insert_twists, is_null_homologous,
                        is_two_divisible, positivity_formula, s_ssr,
@@ -111,6 +111,18 @@ def test_bennequin_reports():
     assert rep == {"sl": 1, "s_plus": 2, "s_plus_bound_ok": True}
     rep = bennequin_report(BraidWord(2, ()), engine="scan")
     assert rep == {"sl": -2, "s_plus": 1, "s_plus_bound_ok": True}
+
+
+def test_bennequin_report_needs_a_braid_closure():
+    # sl = wr - strands holds only when every strand runs up: on these words
+    # it gave sl 0 and 2 against s_+ = -1, false violations of the bound
+    for word, reason in [(BraidWord(2, (1, 1), (True, False)), "a downward strand"),
+                         (BraidWord(2, (1, 1, 1, 1), (True, False)), "a downward strand"),
+                         (BraidWord(3, (-1, 2, ("e", 1)), (True, False, True)),
+                          "a turnback letter")]:
+        with pytest.raises(KhleeError, match=f"the word has {reason}, so its closure "
+                                             "is not a braid closure"):
+            bennequin_report(word, engine="scan")
 
 
 def test_positivity_formula():

@@ -150,4 +150,5 @@ def test_snf_refuses_an_inhomogeneous_entry():
     # across a q gap of 4 the same entry is t
     cx = _two_term([0], [4], {})
     cx.out[0][1] = 1
-    assert (_graded_snf(cx).free, _graded_snf(cx).torsion) == ([], [(1, 4, 1)])
+    hs = _graded_snf(cx)
+    assert (hs.free, hs.torsion) == ([], [(1, 4, 1)])

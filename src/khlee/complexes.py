@@ -117,7 +117,8 @@ class GradedComplex:
     @classmethod
     def from_text(cls, text: str) -> "GradedComplex":
         """The complex of ``export_text`` output; ``ParseError`` names the
-        first line that is malformed or breaks the complex's rules."""
+        first line that is malformed or breaks the complex's rules, or the
+        pair of generators where d o d is not zero."""
         c = cls()
         pending = []
         for n, line in enumerate(text.splitlines(), 1):
@@ -145,4 +146,8 @@ class GradedComplex:
                 c.add_entry(src, tgt, coeff, e)
             except KhleeError as err:
                 raise ParseError(f"line {n}: {err}") from None
+        try:
+            c.check_d_squared()
+        except KhleeError as err:
+            raise ParseError(f"not a chain complex: {err}") from None
         return c

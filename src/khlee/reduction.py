@@ -20,6 +20,10 @@ divides its whole row and column.
   length of pos[src] ^ pos[tgt] goes first: the cube is reduced cone by
   cone, as in Bar-Natan's local elimination, so fill-in stays inside small
   sub-cubes.
+- The pivots wait in one list per rank; the lowest rank's list becomes a
+  lazy-deletion heap, less the items whose generators are gone, when the
+  heap runs dry.  Most cube entries lose a generator before their rank
+  comes up, and the order is that of one heap holding every item.
 - At k >= 1 the same row and column updates split off one Q[t]/(t^k)
   summand per pivot; ``smith._graded_snf`` runs the passes k = 1, 2, ...
   on what ``scan_reduce`` leaves and reads off the graded Smith form.
@@ -77,19 +81,29 @@ def eliminate(out, inc, k, gen_q, vectors=(), pos=None, covectors=()):
 
     ``pos`` ({generator: int}), when given, puts the bit length of
     pos[b] ^ pos[c0] in front of the Markowitz count in the pivot key.
+    Items of rank above the front wait in per-rank lists; a fill-in at or
+    below it goes straight into the heap.  A list is filtered only on its
+    generators, which never come back: an entry that cancelled to zero can
+    be re-created by a later fill-in, and its old item is live again.
+    Without ``pos`` every rank is 0, one list heapified at the start.
     """
     kq = 4 * k
-    heap = []
+    waiting = {}  # rank -> its items, queued once the front reaches the rank
     for src, row in out.items():
         q = gen_q[src] + kq
         for tgt in row:
             if gen_q[tgt] == q:
                 rank = (pos[src] ^ pos[tgt]).bit_length() if pos else 0
-                heap.append((rank, len(row) * len(inc[tgt]), src, tgt))
-    heapq.heapify(heap)
+                waiting.setdefault(rank, []).append((rank, len(row) * len(inc[tgt]), src, tgt))
+    heap, front = [], -1
     pairs = []
 
-    while heap:
+    while heap or waiting:
+        if not heap:
+            front = min(waiting)
+            heap = [it for it in waiting.pop(front) if it[2] in out and it[3] in out]
+            heapq.heapify(heap)
+            continue
         _, _, b, c0 = heapq.heappop(heap)
         row_b = out.get(b)
         if row_b is None or c0 not in row_b:
@@ -97,7 +111,10 @@ def eliminate(out, inc, k, gen_q, vectors=(), pos=None, covectors=()):
         lam = row_b[c0]
         # d(b) = lam t^k c0 + sum gamma_f f; each f gets the factor -gamma_f / lam,
         # of power (q(f) - q(c0)) // 4
-        outs = [(f, _quotient(-gc, lam), gen_q[f]) for f, gc in row_b.items() if f != c0]
+        if lam == 1 or lam == -1:
+            outs = [(f, -gc * lam, gen_q[f]) for f, gc in row_b.items() if f != c0]
+        else:
+            outs = [(f, _quotient(-gc, lam), gen_q[f]) for f, gc in row_b.items() if f != c0]
         ins = [(e, ce) for e, ce in inc[c0].items() if e != b]
         # retraction on tracked vectors: r(b) = 0, r(c0) = sum of the factors' f,
         # each t-power 1 at t = 1
@@ -131,6 +148,7 @@ def eliminate(out, inc, k, gen_q, vectors=(), pos=None, covectors=()):
         for e, bc in ins:
             row_e = out[e]
             q = gen_q[e] + kq
+            pe = pos[e] if pos else 0
             for f, fac, qf in outs:
                 coeff = bc * fac
                 old = row_e.get(f)
@@ -144,8 +162,12 @@ def eliminate(out, inc, k, gen_q, vectors=(), pos=None, covectors=()):
                     coeff = _exact(coeff)
                 row_e[f] = inc[f][e] = coeff
                 if qf == q:
-                    rank = (pos[e] ^ pos[f]).bit_length() if pos else 0
-                    heapq.heappush(heap, (rank, len(row_e) * len(inc[f]), e, f))
+                    rank = (pe ^ pos[f]).bit_length() if pos else 0
+                    item = (rank, len(row_e) * len(inc[f]), e, f)
+                    if rank <= front:
+                        heapq.heappush(heap, item)
+                    else:
+                        waiting.setdefault(rank, []).append(item)
         pairs.append((b, c0))
     return pairs
 

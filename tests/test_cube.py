@@ -131,6 +131,17 @@ def test_from_text_names_the_bad_line(text, message):
     GradedComplex.from_text("\n".join(lines[:n - 1] + lines[n:]))
 
 
+def test_from_text_refuses_a_non_complex():
+    # d(0) = 1 and d(1) = 2, so d o d sends 0 to 2; the reduction drops the
+    # entries that break d o d = 0 and would read a module off the rest
+    text = "GEN 0 0 0\nGEN 1 0 1\nGEN 2 0 2\nDIF 0 0 1 1 t^0\nDIF 1 1 2 1 t^0\n"
+    with pytest.raises(ParseError, match=r"not a chain complex: d\^2 != 0 at 0 -> 2"):
+        GradedComplex.from_text(text)
+    # either entry alone is a complex
+    for line in text.splitlines()[3:]:
+        GradedComplex.from_text(text.replace(line + "\n", ""))
+
+
 def test_resource_limit_message():
     with pytest.raises(ResourceLimit,
                        match=r"cube reached \d+ generators after \d+ of 8 resolutions, "

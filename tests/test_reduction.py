@@ -10,10 +10,11 @@ from khlee.cube import build_cube, specialize_t
 from khlee.diagrams import BraidWord, from_braid
 from khlee.errors import KhleeError
 from khlee.linalg import rank_of_columns
-from khlee.reduction import scan_reduce
+from khlee.reduction import eliminate, entry_tables, scan_reduce
 from khlee.smith import homology_qt
 from khlee.tlscan import scan_complex, scan_levels
 
+import elimination_oracle
 from rank_oracle import dims_t0_by_rank, dims_t_by_rank, rank_over_q
 
 
@@ -387,3 +388,124 @@ def test_complexes_and_modules_are_pinned():
     assert len(lines) == 5 * 52 + 3 * sum(d.braid is not None for _n, d in small_corpus())
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
         "4d484434f93716ea8ee6e770409cefc42733476c5d4c9a57686bc9e917931631"
+
+
+def _same_as_oracle(out, inc, k, gen_q, pos=None, vectors=(), covectors=()):
+    """One pass of the kernel and of its lazy-heap oracle, each on its own
+    copy of the tables, vectors and covectors: the same pairs, tables (in
+    the same order) and tracked values.  Returns the pairs and the tables."""
+    runs = []
+    for kernel in (eliminate, elimination_oracle.eliminate):
+        o = {g: dict(row) for g, row in out.items()}
+        i = {g: dict(col) for g, col in inc.items()}
+        vs, ws = [dict(v) for v in vectors], [dict(w) for w in covectors]
+        pairs = kernel(o, i, k, gen_q, vs, pos, ws)
+        ordered = [[(g, list(row.items())) for g, row in t.items()] for t in (o, i)]
+        runs.append((pairs, ordered, vs, ws, o, i))
+    assert runs[0][:4] == runs[1][:4]
+    return runs[0][0], runs[0][4], runs[0][5]
+
+
+def _smith_passes(out, inc, gen_q):
+    # the passes k = 1, 2, ... of smith._graded_snf, which runs them unordered
+    while any(out.values()):
+        k = min(gen_q[t] - gen_q[s] for s, row in out.items() for t in row) // 4
+        _pairs, out, inc = _same_as_oracle(out, inc, k, gen_q)
+
+
+def test_kernel_keeps_the_lazy_heap_pivot_order():
+    # the rank buckets only delay when an item is queued and drop items
+    # whose generators are gone, so every pivot is the one the single
+    # lazy-deletion heap takes
+    from khlee.lee import lee_generator, lee_vector_in_cube
+    from khlee.tlscan import scan_word
+
+    for _name, d in small_corpus():
+        cx = build_cube(d).complex
+        gq = cx.gen_q
+        _pairs, out, inc = _same_as_oracle(*entry_tables(cx), 0, gq, cx.pos)
+        _smith_passes(out, inc, gq)
+        # the t^0 part, as dims_at_t0 builds it
+        t0 = GradedComplex()
+        t0.gen_h, t0.gen_q = cx.gen_h, gq
+        t0.out = {g: {t: c for t, c in row.items() if gq[t] == gq[g]} for g, row in cx.out.items()}
+        _same_as_oracle(*entry_tables(t0), 0, gq, cx.pos)
+        if d.n_components:
+            chain = lee_generator(d)
+            window = build_cube(chain.diagram, h_window=(-1, 1))
+            vs = [lee_vector_in_cube(ch, window) for ch in (chain, chain.conjugate())]
+            wx = window.complex
+            _same_as_oracle(*entry_tables(wx), 0, wx.gen_q, wx.pos, vs, vs)
+        if d.braid is not None:
+            closed = scan_word(d).gc
+            assert closed.pos is None
+            _pairs, out, inc = _same_as_oracle(*entry_tables(closed), 0, closed.gen_q)
+            _smith_passes(out, inc, closed.gen_q)
+
+
+def _hand_built(gens, entries, pos):
+    """Tables of a complex: ``gens`` {name: (h, q)}, ``entries`` (src, tgt,
+    coeff), generator ids by name."""
+    cx = GradedComplex()
+    ids = {name: cx.add_gen(h, q) for name, (h, q) in gens.items()}
+    for src, tgt, c in entries:
+        cx.add_entry(ids[src], ids[tgt], c, (gens[tgt][1] - gens[src][1]) // 4)
+    cx.pos = {ids[name]: p for name, p in pos.items()}
+    return ids, cx
+
+
+def test_fill_in_below_the_front_goes_first():
+    # the pivot b -> c0 (rank 3) fills in e -> f1 at rank 1, below the
+    # front, and e -> f2 at rank 3; the lazy heap pops e -> f1 first
+    gens = {"b": (0, 0), "e": (0, 0), "c0": (1, 0), "f1": (1, 0), "f2": (1, 0)}
+    entries = [("b", "c0", 1), ("b", "f1", 1), ("b", "f2", 1), ("e", "c0", 1)]
+    pos = {"c0": 0b0000, "b": 0b0100, "f1": 0b1000, "e": 0b1001, "f2": 0b1101}
+    ids, cx = _hand_built(gens, entries, pos)
+    pairs, out, _inc = _same_as_oracle(*entry_tables(cx), 0, cx.gen_q, cx.pos)
+    assert pairs == [(ids["b"], ids["c0"]), (ids["e"], ids["f1"])]
+    assert out == {ids["f2"]: {}}
+
+
+def test_entry_cancelled_then_recreated_keeps_its_old_item():
+    # the rank-1 pivot b1 -> c1 cancels e -> f; the rank-3 pivot b2 -> c2
+    # re-creates it, and the item queued for e -> f at the start (Markowitz
+    # count 9) comes before x -> y (10) and before the new item (20)
+    gens = {"e": (0, 0), "b1": (0, 0), "b2": (0, 0), "x": (0, 0),
+            "f": (1, 0), "c1": (1, 0), "c2": (1, 0), "y": (1, 0), "w": (0, -4)}
+    gens.update({f"s{i}": (0, -4) for i in range(3)})
+    gens.update({f"{p}{i}": (1, 4) for p in "pz" for i in range(4)})
+    entries = [("e", "f", 1), ("e", "c1", 1), ("b1", "c1", 1), ("b1", "f", 1),
+               ("e", "c2", 1), ("b2", "c2", 1), ("b2", "f", -1), ("x", "y", 1), ("w", "y", 1)]
+    entries += [("b1", f"p{i}", 1) for i in range(4)] + [("x", f"z{i}", 1) for i in range(4)]
+    entries += [(f"s{i}", "c1", 1) for i in range(3)]
+    pos = dict.fromkeys(gens, 0)
+    pos.update(c1=0b00000, b1=0b00001, f=0b01001, e=0b01101, c2=0b10000, b2=0b10100,
+               x=0b100000, y=0b100100)
+    ids, cx = _hand_built(gens, entries, pos)
+    pairs, _out, _inc = _same_as_oracle(*entry_tables(cx), 0, cx.gen_q, cx.pos)
+    assert pairs == [(ids[b], ids[c]) for b, c in (("b1", "c1"), ("b2", "c2"), ("e", "f"), ("x", "y"))]
+
+
+def test_few_stale_pivots_are_popped(monkeypatch):
+    # the cube-order kernel pops about 9 heap items per eliminated pair when
+    # every t^0 entry is queued up front; with rank buckets about 1.5
+    import heapq
+    import types
+
+    from khlee import reduction
+
+    pops = []
+
+    def heappop(heap):
+        pops.append(1)
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(reduction, "heapq", types.SimpleNamespace(
+        heappop=heappop, heappush=heapq.heappush, heapify=heapq.heapify))
+    pairs = 0
+    for _name, d in small_corpus():
+        if d.braid is not None and d.n_crossings == 7:
+            cx = build_cube(d).complex
+            pairs += (cx.n_gens - scan_reduce(cx).n_gens) // 2
+    assert pairs > 4000
+    assert len(pops) < 2 * pairs

@@ -111,7 +111,7 @@ def eliminate(out, inc, k, gen_q, vectors=(), pos=None, covectors=()):
         lam = row_b[c0]
         # d(b) = lam t^k c0 + sum gamma_f f; each f gets the factor -gamma_f / lam,
         # of power (q(f) - q(c0)) // 4
-        if lam == 1 or lam == -1:
+        if lam == 1 or lam == -1:  # 1 / lam == lam
             outs = [(f, -gc * lam, gen_q[f]) for f, gc in row_b.items() if f != c0]
         else:
             outs = [(f, _quotient(-gc, lam), gen_q[f]) for f, gc in row_b.items() if f != c0]
@@ -148,7 +148,6 @@ def eliminate(out, inc, k, gen_q, vectors=(), pos=None, covectors=()):
         for e, bc in ins:
             row_e = out[e]
             q = gen_q[e] + kq
-            pe = pos[e] if pos else 0
             for f, fac, qf in outs:
                 coeff = bc * fac
                 old = row_e.get(f)
@@ -162,7 +161,7 @@ def eliminate(out, inc, k, gen_q, vectors=(), pos=None, covectors=()):
                     coeff = _exact(coeff)
                 row_e[f] = inc[f][e] = coeff
                 if qf == q:
-                    rank = (pe ^ pos[f]).bit_length() if pos else 0
+                    rank = (pos[e] ^ pos[f]).bit_length() if pos else 0
                     item = (rank, len(row_e) * len(inc[f]), e, f)
                     if rank <= front:
                         heapq.heappush(heap, item)
